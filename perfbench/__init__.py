@@ -1,0 +1,1 @@
+"""Paper-scale benchmark of the simulator; see README.md and run.py."""
