@@ -18,14 +18,17 @@ rates describe the measurement window only — unlike the engine's raw
 cumulative :attr:`~repro.router.lane.LinkDirection.flits` counters they
 never mix warm-up transients into steady-state numbers.
 
-The per-cycle occupancy sweep walks every lane, which costs real time on
-big networks; this probe is for *instrumented* runs (the ``trace`` CLI,
-saturation forensics), not for bulk sweeps.
+The per-cycle occupancy sweep adds the engine's whole ``buffered`` lane
+array into a running sum (one array operation per cycle); this probe is
+for *instrumented* runs (the ``trace`` CLI, saturation forensics), not
+for bulk sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from .probe import Probe
@@ -107,8 +110,10 @@ class WindowedCounterProbe(Probe):
         self._start_cycle = 0 if self.include_warmup else engine.config.warmup_cycles
         self._window_start: int | None = None
         n = len(self._dirs)
+        self._lanes = engine.lanes
         self._blocked = [0] * n
-        self._occ = [[0] * len(d.lanes) for d in self._dirs]
+        #: per output lane (LaneArrays order): summed buffered flits
+        self._occ = np.zeros(engine.lanes.buffered.shape, dtype=np.int64)
         self._flit_base = [0] * n
 
     def __getstate__(self) -> dict:
@@ -140,12 +145,8 @@ class WindowedCounterProbe(Probe):
             # counting from cycle 0)
             self._window_start = cycle
             if not self.include_warmup:
-                for i, d in enumerate(self._dirs):
-                    self._flit_base[i] = d.flits_at_warmup
-        for i, d in enumerate(self._dirs):
-            occ = self._occ[i]
-            for v, lane in enumerate(d.lanes):
-                occ[v] += lane.buffered
+                self._flit_base = self._lanes.flits_at_warmup.tolist()
+        self._occ += self._lanes.buffered
         if cycle - self._window_start + 1 >= self.window_cycles:
             self._flush(cycle + 1)
 
@@ -156,14 +157,17 @@ class WindowedCounterProbe(Probe):
     def _flush(self, end: int) -> None:
         start = self._window_start
         cycles = end - start
+        k = self._lanes
+        flits = k.flits.tolist()
+        occ = self._occ.reshape(k.vcs, k.ndirs).T.tolist()
         records = tuple(
             DirectionWindow(
                 switch=d.switch,
                 port=d.port,
                 to_node=d.to_node,
-                flits=d.flits - self._flit_base[i],
+                flits=flits[i] - self._flit_base[i],
                 blocked_cycles=self._blocked[i],
-                occupancy=tuple(s / cycles for s in self._occ[i]),
+                occupancy=tuple(s / cycles for s in occ[i]),
             )
             for i, d in enumerate(self._dirs)
         )
@@ -171,10 +175,9 @@ class WindowedCounterProbe(Probe):
         # the flush runs at the end of the window's last cycle, so the
         # live counters are exactly the next window's baseline
         self._window_start = end
-        for i, d in enumerate(self._dirs):
-            self._blocked[i] = 0
-            self._flit_base[i] = d.flits
-            self._occ[i] = [0] * len(d.lanes)
+        self._blocked = [0] * len(self._dirs)
+        self._flit_base = flits
+        self._occ[:] = 0
 
     # -- analysis ------------------------------------------------------------
 

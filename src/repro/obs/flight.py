@@ -239,7 +239,7 @@ class FlightRecorder(Probe):
             "marks": (self._control.marker.packets_marked
                       if self._control is not None else 0),
         }
-        self._dir_flits = [d.flits for d in engine.dirs]
+        self._dir_flits = engine.lanes.flits.tolist()
         self._open_events()
         self._emit({
             "type": "start",
@@ -329,17 +329,13 @@ class FlightRecorder(Probe):
         dropped = eng.dropped_flits_total - last["dropped"]
         backlog = self._backlog_flits()
         offered = max(0, injected + backlog - last["backlog"])
-        occupancy = 0
+        occupancy = int(eng.lanes.buffered.sum())
         hot = []
-        dirs = eng.dirs
-        flits_now = [d.flits for d in dirs]
-        for i, d in enumerate(dirs):
-            for lane in d.lanes:
-                occupancy += lane.buffered
+        flits_now = eng.lanes.flits.tolist()
         if cfg.top_links:
             deltas = [
                 (flits_now[i] - self._dir_flits[i], i)
-                for i in range(len(dirs))
+                for i in range(len(flits_now))
                 if flits_now[i] > self._dir_flits[i]
             ]
             deltas.sort(key=lambda t: (-t[0], t[1]))

@@ -153,9 +153,8 @@ def _lane_record(d, lane) -> list[int]:
 
 def _routing_ints(engine) -> list[int]:
     """Routing state: rr pointers, pending headers (order is semantic),
-    the route queue (order is semantic) and crossbar bindings (sorted —
-    the engine's swap-removal order is an implementation detail no
-    alternative backend should have to reproduce)."""
+    the route queue (order is semantic) and crossbar bindings (in
+    (switch, port, vc) order, whatever order a backend keeps them in)."""
     vals = list(engine.route_rr)
     vals.append(_NONE)
     for s, lanes in enumerate(engine.pending):
@@ -167,7 +166,7 @@ def _routing_ints(engine) -> list[int]:
     vals.append(_NONE)
     vals += engine.route_queue
     vals.append(_NONE)
-    for lane in sorted(engine.bindings, key=lambda l: (l.switch, l.port, l.vc)):
+    for lane in engine.bindings:
         vals += (lane.switch, lane.port, lane.vc, _pid(lane.packet))
     return vals
 
@@ -196,53 +195,67 @@ def _fabric(engine, detail: bool):
                 for lane, rec in zip(d.lanes, lane_recs)
             }
     else:
+        k = engine.lanes
+        rr, nbusy, flits = k.rr.tolist(), k.nbusy.tolist(), k.flits.tolist()
+        buffered, sent, credits = k.buffered.tolist(), k.sent.tolist(), k.credits.tolist()
+        received, forwarded = k.received.tolist(), k.forwarded.tolist()
+        last_arrival, bound = k.last_arrival.tolist(), k.bound.tolist()
+        outs = k.outs
         append = flat.append
         for idx, d in enumerate(engine.dirs):
             to_node = d.to_node
             append(idx)
-            append(d.rr)
-            append(d.nbusy)
-            append(d.flits)
+            append(rr[idx])
+            append(nbusy[idx])
+            append(flits[idx])
             append(1 if to_node else 0)
             for lane in d.lanes:
+                o = lane.lid
                 p = lane.packet
                 append(lane.vc)
                 append(none if p is None else p.pid)
-                append(lane.buffered)
-                append(lane.sent)
-                append(lane.credits)
+                append(buffered[o])
+                append(sent[o])
+                append(credits[o])
                 sink = lane.sink
+                i = sink.lid
                 sp = sink.packet
                 append(none if sp is None else sp.pid)
-                append(sink.received)
+                append(received[i])
                 if not to_node:
-                    append(sink.forwarded)
-                    append(sink.last_arrival)
-                    bound = sink.bound
-                    if bound is None:
+                    append(forwarded[i])
+                    append(last_arrival[i])
+                    b = bound[i]
+                    if b < 0:
                         flat += (none, none, none)
                     else:
-                        append(bound.switch)
-                        append(bound.port)
-                        append(bound.vc)
+                        out = outs[b]
+                        append(out.switch)
+                        append(out.port)
+                        append(out.vc)
     routing = hashlib.blake2b(_ints(_routing_ints(engine)), digest_size=8)
     fabric_hex = _hex(_ints(flat) + routing.digest())
     return fabric_hex, links, lanes
 
 
-def _node_ints(node) -> list[int]:
+def _node_ints(node, counters) -> list[int]:
     """One node's injection-side state: the injection channel, its input
     lanes at the switch boundary, and the (possibly transport-wrapped)
-    source queue and arrival cursor."""
+    source queue and arrival cursor.  ``counters`` holds the engine's
+    sink ``received``/``forwarded``/``last_arrival``/``bound`` arrays as
+    lists and its output lanes."""
+    received, forwarded, last_arrival, bound, outs = counters
     vals = [node.nid, node.rr, node.sent, _pid(node.packet)]
     vals.append(_NONE if node.lane is None else node.lane.vc)
     for lane in node.lanes:
-        vals += (lane.vc, _pid(lane.packet), lane.received, lane.forwarded, lane.last_arrival)
-        bound = lane.bound
-        if bound is None:
+        i = lane.lid
+        vals += (lane.vc, _pid(lane.packet), received[i], forwarded[i], last_arrival[i])
+        b = bound[i]
+        if b < 0:
             vals += (_NONE, _NONE, _NONE)
         else:
-            vals += (bound.switch, bound.port, bound.vc)
+            out = outs[b]
+            vals += (out.switch, out.port, out.vc)
     src = node.source
     vals.append(int(bool(getattr(src, "active", False))))
     for entry in getattr(src, "queue", ()):
@@ -264,8 +277,13 @@ def _node_ints(node) -> list[int]:
 def _injection(engine, detail: bool):
     node_digests = []
     nodes = {} if detail else None
+    k = engine.lanes
+    counters = (
+        k.received.tolist(), k.forwarded.tolist(), k.last_arrival.tolist(),
+        k.bound.tolist(), k.outs,
+    )
     for node in engine.nodes:
-        h = hashlib.blake2b(_ints(_node_ints(node)), digest_size=8)
+        h = hashlib.blake2b(_ints(_node_ints(node, counters)), digest_size=8)
         node_digests.append(h.digest())
         if detail:
             nodes[str(node.nid)] = h.hexdigest()
@@ -467,7 +485,7 @@ def state_snapshot(engine) -> dict:
         "route_queue": list(engine.route_queue),
         "bindings": [
             [lane.switch, lane.port, lane.vc, _opt_pid(lane.packet)]
-            for lane in sorted(engine.bindings, key=lambda l: (l.switch, l.port, l.vc))
+            for lane in engine.bindings
         ],
     }
     injection = {}

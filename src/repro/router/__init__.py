@@ -10,17 +10,18 @@ physical links.
 Flits are never materialized as objects: wormhole allocation means a lane
 holds flits of one packet at a time, so a lane is a handful of counters
 (:class:`~repro.router.lane.InputLane`, :class:`~repro.router.lane.OutputLane`)
-and flit movement is counter arithmetic.
+kept in flat arrays (:class:`~repro.router.lane.LaneArrays`), and flit
+movement is array arithmetic.
 """
 
-from .arbiter import RoundRobinArbiter, round_robin_pick
-from .lane import EjectionLane, InputLane, LinkDirection, OutputLane
+from .arbiter import grant
+from .lane import EjectionLane, InputLane, LaneArrays, LinkDirection, OutputLane
 
 __all__ = [
-    "RoundRobinArbiter",
-    "round_robin_pick",
+    "grant",
     "EjectionLane",
     "InputLane",
+    "LaneArrays",
     "LinkDirection",
     "OutputLane",
 ]

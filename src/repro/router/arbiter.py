@@ -1,129 +1,82 @@
-"""Fair arbitration helpers (paper §4: "an arbiter picks one of them
+"""Fair link arbitration (paper §4: "an arbiter picks one of them
 according to a fair policy").
 
-The engine inlines round-robin scans in its hot loops; these helpers give
-the same policy a testable, reusable form and are used by the routing
-algorithms and slow paths.
+:func:`grant` is the engine's link-phase arbiter: it serves every link
+direction of the network at once, as array operations over the lane
+eligibility matrix, under either policy of ``config.arbiter``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from typing import TypeVar
+import functools
 
-T = TypeVar("T")
+import numpy as np
 
 #: arbitration policies selectable via ``SimulationConfig.arbiter``
 ARBITER_POLICIES = ("round_robin", "age")
 
+#: key of an ineligible lane under the age policy
+_NO_AGE = np.iinfo(np.int64).max
 
-def round_robin_pick(
-    items: Sequence[T], start: int, eligible: Callable[[T], bool]
-) -> tuple[int, T | None]:
-    """Pick the first eligible item scanning circularly from ``start``.
 
-    Returns ``(next_start, item)`` where ``next_start`` is the position
-    *after* the picked item (so consecutive calls rotate priority), or
-    ``(start, None)`` when nothing is eligible.
+@functools.lru_cache(maxsize=None)
+def _round_robin_table(vcs: int) -> np.ndarray:
+    """The round-robin grant for every (pointer, eligibility mask) pair.
+
+    Entry ``(rr << vcs) | mask`` is the first lane at or after ``rr``,
+    wrapping around, whose bit is set in ``mask``; -1 for an empty mask.
     """
-    n = len(items)
-    if n == 0:
-        return start, None
-    start %= n
-    for off in range(n):
-        idx = (start + off) % n
-        item = items[idx]
-        if eligible(item):
-            return (idx + 1) % n, item
-    return start, None
+    masks = np.arange(1 << vcs)
+    table = np.full((vcs, 1 << vcs), -1, dtype=np.int8)
+    for rr in range(vcs):
+        # nearest lanes last, so they overwrite the farther ones
+        for off in reversed(range(vcs)):
+            lane = (rr + off) % vcs
+            table[rr, (masks >> lane) & 1 == 1] = lane
+    return table.ravel()
 
 
-class RoundRobinArbiter:
-    """Stateful round-robin arbiter over a fixed population.
+def grant(
+    eligible: np.ndarray, rr: np.ndarray, age: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grant at most one lane per link direction.
 
-    Keeps the rotation pointer between grants so every requester is served
-    within ``len(items)`` grants of becoming eligible (no starvation).
+    Args:
+        eligible: ``(V, D)`` bool, lane ``v`` of direction ``d`` holds a
+            flit and a credit.
+        rr: ``(D,)`` round-robin pointers.  Lane ``rr[d]`` has priority,
+            then ``rr[d] + 1`` and so on, wrapping around; the caller
+            moves the pointer past each granted lane, so a lane that
+            stays eligible is served within ``V`` grants of its direction.
+        age: ``(V, D)`` packet creation cycles, selecting the oldest-first
+            policy: the eligible lane with the smallest age wins, ties
+            going to the lowest lane index.  ``rr`` is then ignored.
+            Age order is starvation-free under sustained overload: a
+            waiting packet only grows older, so it can be bypassed at
+            most by packets created earlier (a finite population) before
+            it wins.
+
+    Returns:
+        ``(dirs, vcs)``: the ascending directions with a grant and the
+        lane granted in each.
+
+    Raises:
+        ValueError: when the array shapes disagree.
     """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError(f"arbiter needs at least one input, got {size}")
-        self.size = size
-        self._next = 0
-
-    def grant(self, requests: Sequence[bool]) -> int | None:
-        """Index of the granted requester, or None if no requests.
-
-        Args:
-            requests: one flag per input; length must equal ``size``.
-        """
-        if len(requests) != self.size:
-            raise ValueError(f"expected {self.size} request flags, got {len(requests)}")
-        for off in range(self.size):
-            idx = (self._next + off) % self.size
-            if requests[idx]:
-                self._next = (idx + 1) % self.size
-                return idx
-        return None
-
-
-def oldest_pick(
-    items: Sequence[T],
-    eligible: Callable[[T], bool],
-    age: Callable[[T], int],
-) -> T | None:
-    """Pick the eligible item with the smallest ``age`` key.
-
-    Ties break on the lowest index so the scan is deterministic.  Unlike
-    round-robin this needs no rotation state: priority follows the
-    packets, not the ports.
-    """
-    best = None
-    best_age = 0
-    for item in items:
-        if not eligible(item):
-            continue
-        key = age(item)
-        if best is None or key < best_age:
-            best = item
-            best_age = key
-    return best
-
-
-class AgeArbiter:
-    """Oldest-first arbiter over a fixed population.
-
-    Grants the requesting input with the smallest age key (the packet's
-    creation cycle in the engine), breaking ties on the lowest index.
-    Age order is starvation-free under sustained overload: a waiting
-    packet only grows older, so it can be bypassed at most by packets
-    created earlier — a finite population — before it becomes the
-    global minimum and wins.  This is the bounded-tail-latency
-    alternative to :class:`RoundRobinArbiter` past saturation.
-    """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError(f"arbiter needs at least one input, got {size}")
-        self.size = size
-
-    def grant(self, requests: Sequence[bool], ages: Sequence[int]) -> int | None:
-        """Index of the oldest requester, or None if no requests.
-
-        Args:
-            requests: one flag per input; length must equal ``size``.
-            ages: age key per input (smaller = older = higher priority);
-                only inspected where the request flag is set.
-        """
-        if len(requests) != self.size or len(ages) != self.size:
-            raise ValueError(
-                f"expected {self.size} request/age entries, got "
-                f"{len(requests)}/{len(ages)}"
-            )
-        best = None
-        best_age = 0
-        for idx in range(self.size):
-            if requests[idx] and (best is None or ages[idx] < best_age):
-                best = idx
-                best_age = ages[idx]
-        return best
+    vcs, ndirs = eligible.shape
+    if rr.shape != (ndirs,) or (age is not None and age.shape != eligible.shape):
+        raise ValueError(
+            f"eligibility {eligible.shape} needs rr ({ndirs},) and age {eligible.shape}"
+        )
+    if age is None:
+        # one lookup per direction: its eligibility bits and pointer
+        # index the precomputed rotated-priority winner
+        mask = (1 << np.arange(vcs)) @ eligible
+        lane = _round_robin_table(vcs)[(rr << vcs) | mask]
+        dirs = (lane >= 0).nonzero()[0]
+        return dirs, lane[dirs].astype(np.int64)
+    # the lane index in the low digit sends equal ages to the lowest lane
+    key = np.where(eligible, age * vcs + np.arange(vcs)[:, None], _NO_AGE)
+    best = np.minimum.reduce(key, axis=0, initial=_NO_AGE)
+    dirs = (best < _NO_AGE).nonzero()[0]
+    return dirs, best[dirs] % vcs

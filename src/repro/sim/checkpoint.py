@@ -58,7 +58,9 @@ from ..obs.probe import MultiProbe, Probe
 from ..obs.telemetry import config_digest
 
 #: bump on breaking changes to the header schema or pickle envelope
-CHECKPOINT_FORMAT_VERSION = 1
+#: (2: lane counters and crossbar bindings live in the engine's
+#: LaneArrays, so version-1 engine pickles no longer restore)
+CHECKPOINT_FORMAT_VERSION = 2
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"

@@ -17,6 +17,10 @@ from ..errors import ConfigurationError
 TREE_ALGORITHMS = ("tree_adaptive", "tree_deterministic")
 CUBE_ALGORITHMS = ("dor", "duato")
 
+#: most virtual channels per direction; the link arbiter keeps a lookup
+#: table of V * 2**V entries (repro.router.arbiter)
+MAX_VCS = 16
+
 #: extension registry: algorithm name -> network family ("tree"/"cube").
 #: Populated by :func:`repro.routing.base.register` for algorithm classes
 #: that declare a ``network`` attribute — custom algorithms (e.g. the
@@ -105,8 +109,10 @@ class SimulationConfig:
             )
         if self.k < 2 or self.n < 1:
             raise ConfigurationError(f"invalid topology k={self.k}, n={self.n}")
-        if self.vcs < 1:
-            raise ConfigurationError(f"need at least 1 virtual channel, got {self.vcs}")
+        if not 1 <= self.vcs <= MAX_VCS:
+            raise ConfigurationError(
+                f"need 1 to {MAX_VCS} virtual channels, got {self.vcs}"
+            )
         if self.algorithm == "dor" and (self.vcs < 2 or self.vcs % 2):
             raise ConfigurationError(
                 f"dor splits lanes into two virtual networks and needs an "

@@ -9,9 +9,10 @@ normalization makes T_link = T_crossbar = T_routing = 1 clock):
    that flit crosses to the downstream input lane (or ejection lane).
    The policy is ``config.arbiter``: round-robin (paper default) or
    oldest-packet-first by creation cycle (``"age"``), which bounds tail
-   latency under sustained overload.  Node injection runs in the same phase: each node streams at
-   most one flit per cycle of its current packet into an injection lane
-   (the single injection channel / source throttling of §3).
+   latency under sustained overload.  Node injection runs in the same
+   phase: each node streams at most one flit per cycle of its current
+   packet into an injection lane (the single injection channel / source
+   throttling of §3).
 2. **Crossbar phase** — every crossbar-bound (input → output) lane pair
    forwards one flit if the output lane has space, returning a credit
    upstream; flits that arrived in this cycle's link phase are held one
@@ -21,21 +22,42 @@ normalization makes T_link = T_crossbar = T_routing = 1 clock):
    cycle; pending headers are served round-robin and a header that cannot
    be routed (all candidate lanes busy) simply retries next cycle.
 
-The hot loops are deliberately written with inlined state updates (no
-method calls per flit): Python-level call overhead would dominate a
-256-node, 20000-cycle run otherwise.  The checked equivalents on the lane
-classes are exercised by the unit tests, and :meth:`Engine.audit` verifies
-the global invariants (buffer bounds, credit consistency, flit
-conservation) after any run.
+The link and crossbar phases are one array kernel.  Every lane counter
+lives in the flat arrays of a :class:`~repro.router.lane.LaneArrays`
+indexed by lane id, so each phase is a fixed handful of numpy operations
+over all lanes at once (:func:`~repro.router.arbiter.grant` arbitrates
+every direction in one step), whatever the load.  Python runs only for
+*events*: a header entering an input lane (it joins the routing queue), a
+header or tail reaching its destination node, a tail leaving an output
+lane, a tail leaving an input lane through the crossbar, and, with a probe
+attached, a busy direction that could not send.
+
+**Event order.**  A phase first moves all of its flits with array
+operations, then fires its events in ascending ``engine.dirs`` index
+order: the order a sequential scan of the directions produces.  An event
+handler writes only the counters of its own lanes.  Routing-queue order,
+packet ids, transport ACK tie-breaks, ``collect_latencies`` order and
+probe call streams therefore do not depend on how the kernel batches
+its work, and runs reproduce the stored golden state digests
+(``tests/golden/``).
+
+Injection and routing stay Python loops over nodes and switches.  Nodes
+already streaming a packet advance one flit each in one array step after
+the loop.  :meth:`Engine.audit` verifies the global invariants (buffer
+bounds, credit consistency, lane-pair consistency, flit conservation)
+after any run.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..errors import ConfigurationError, DeadlockError, SimulationError
 from ..obs.telemetry import PHASE_NAMES, RunTelemetry, config_digest
-from ..router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
+from ..router.arbiter import grant
+from ..router.lane import EjectionLane, InputLane, LaneArrays, LinkDirection, OutputLane
 from ..routing.base import RoutingAlgorithm
 from ..topology.base import Topology
 from ..topology.cube import KAryNCube
@@ -53,7 +75,7 @@ _EJECT_CREDITS = 1 << 60
 class _Node:
     """Per-node injection state: the single injection channel of §3."""
 
-    __slots__ = ("nid", "source", "lanes", "rr", "packet", "sent", "lane")
+    __slots__ = ("nid", "source", "lanes", "rr", "packet", "last_sent", "lane")
 
     def __init__(self, nid: int, source, lanes: list[InputLane]):
         self.nid = nid
@@ -63,8 +85,19 @@ class _Node:
         self.rr = 0
         #: packet currently being streamed into the network
         self.packet: Packet | None = None
-        self.sent = 0
+        #: injection lane of that packet (None when idle)
         self.lane: InputLane | None = None
+        #: flits the previous packet streamed (0 after a kill)
+        self.last_sent = 0
+
+    @property
+    def sent(self) -> int:
+        """Flits of the current (or, when idle, the previous) packet sent.
+
+        While a packet streams, its injection lane holds every flit it
+        has received of it, so the lane's counter is the count.
+        """
+        return self.lane.received if self.lane is not None else self.last_sent
 
 
 class Engine:
@@ -101,9 +134,14 @@ class Engine:
         total_ports = base_ports + (1 if is_direct else 0)
 
         #: in_lanes[switch][port] -> list of InputLane (may be empty for
-        #: unused directions, e.g. root up-ports)
+        #: unused directions, e.g. root up-ports).  A cube router's node
+        #: port has a single injection channel (P = 17 in §5); a tree leaf
+        #: port carries the full V lanes (P = 2kV).
         self.in_lanes: list[list[list[InputLane]]] = [
-            [[InputLane(s, p, v, cap) for v in range(vcs)] for p in range(total_ports)]
+            [
+                [InputLane(s, p, v, cap) for v in range(1 if p == base_ports else vcs)]
+                for p in range(total_ports)
+            ]
             for s in range(num_switches)
         ]
         self.out_lanes: list[list[list[OutputLane]]] = [
@@ -112,9 +150,18 @@ class Engine:
         ]
 
         self.dirs: list[LinkDirection] = []
-        self._wire_switch_links(cap)
-        self._wire_node_links(cap, is_direct, vcs)
+        self._wire_switch_links()
+        self._wire_node_links()
         self._prune_unwired()
+        #: every lane counter, as flat arrays (the link/crossbar kernel's state)
+        self.lanes = LaneArrays(
+            self.dirs,
+            [lane for ports in self.in_lanes for port in ports for lane in port],
+            cap,
+            _EJECT_CREDITS,
+        )
+        #: per node: the injection lane id of the packet it is streaming, or -1
+        self._stream = np.full(topology.num_nodes, -1, dtype=np.int64)
 
         # cycle hooks (fault schedules, instrumentation): cycle -> callbacks.
         # _next_hook_cycle caches the earliest key so the hot loop pays a
@@ -131,7 +178,6 @@ class Engine:
         self.route_rr = [0] * num_switches
         self._in_route_queue = [False] * num_switches
         self.route_queue: list[int] = []
-        self.bindings: list[InputLane] = []
 
         # statistics
         self.cycle = 0
@@ -143,9 +189,6 @@ class Engine:
         self.dropped_packets_total = 0
         self.dropped_flits_total = 0
         self.result = RunResult(config=config, measured_cycles=config.total_cycles - config.warmup_cycles)
-        #: flits delivered to each node during the measurement window
-        #: (fairness/hotspot analyses)
-        self.delivered_flits_per_node = [0] * topology.num_nodes
         #: rolling counter behind RunResult.throughput_timeline
         self._interval_delivered = 0
         self._last_progress = 0
@@ -171,7 +214,7 @@ class Engine:
 
     # -- construction ----------------------------------------------------------
 
-    def _wire_switch_links(self, cap: int) -> None:
+    def _wire_switch_links(self) -> None:
         for link in self.topology.switch_links():
             for sa, pa, sb, pb in (
                 (link.switch_a, link.port_a, link.switch_b, link.port_b),
@@ -185,11 +228,10 @@ class Engine:
                             f"port wired twice: switch {sa} port {pa} -> switch {sb} port {pb}"
                         )
                     out.sink = inp
-                    out.credits = cap
                     inp.src_out = out
                 self.dirs.append(LinkDirection(outs))
 
-    def _wire_node_links(self, cap: int, is_direct: bool, vcs: int) -> None:
+    def _wire_node_links(self) -> None:
         self.eject_lanes: list[list[EjectionLane]] = [[] for _ in range(self.topology.num_nodes)]
         self._injection_lanes: list[list[InputLane]] = [[] for _ in range(self.topology.num_nodes)]
         for nl in self.topology.node_links():
@@ -199,17 +241,10 @@ class Engine:
             for out in outs:
                 ej = EjectionLane(node)
                 out.sink = ej
-                out.credits = _EJECT_CREDITS
                 self.eject_lanes[node].append(ej)
             self.dirs.append(LinkDirection(outs, to_node=True))
-            # injection: the node feeds the switch input lanes directly.
-            # A cube router has a single injection channel (P = 17 in §5);
-            # a tree leaf port carries the full V lanes (P = 2kV).
-            ins = self.in_lanes[s][p]
-            if is_direct:
-                ins = ins[:1]
-                self.in_lanes[s][p] = ins
-            self._injection_lanes[node] = ins
+            # injection: the node feeds the switch input lanes directly
+            self._injection_lanes[node] = self.in_lanes[s][p]
 
     def _prune_unwired(self) -> None:
         """Drop lanes on unconnected ports (e.g. root external links)."""
@@ -340,115 +375,151 @@ class Engine:
             # freeze the cumulative per-direction flit counters so the
             # utilization analyses can report measurement-window rates
             self._warmup_snapshot_taken = True
-            for d in self.dirs:
-                d.flits_at_warmup = d.flits
-        probe = self.probe
-        res = self.result
-        progress = False
+            self.lanes.flits_at_warmup[:] = self.lanes.flits
+        phases = self._phase_seconds
         clock = time.perf_counter
-        phase_start = clock()
+        start = clock()
+        progress = self._link_phase(t, warm)
+        now = clock()
+        phases[0] += now - start
+        start = now
+        progress |= self._injection_phase(t, warm)
+        now = clock()
+        phases[1] += now - start
+        start = now
+        progress |= self._crossbar_phase(t)
+        now = clock()
+        phases[2] += now - start
+        start = now
+        progress |= self._routing_phase(t)
 
-        # ---- phase 1a: link traversal -------------------------------------
-        age_arb = self._age_arbiter
-        for d in self.dirs:
-            if d.nbusy == 0:
+        res = self.result
+        interval = self.config.interval_cycles
+        if interval and warm and (t - self.config.warmup_cycles + 1) % interval == 0:
+            res.throughput_timeline.append(self._interval_delivered)
+            self._interval_delivered = 0
+
+        if self.probe is not None:
+            self.probe.on_cycle(t)
+        phases[3] += clock() - start
+        self.cycle = t + 1
+        return progress
+
+    def _link_phase(self, t: int, warm: bool) -> bool:
+        """Phase 1a: at most one flit per direction crosses its link."""
+        k = self.lanes
+        buffered, credits, sent, received = k.buffered, k.credits, k.sent, k.received
+        vcs, ndirs = k.vcs, k.ndirs
+        # one row per virtual channel, one column per direction
+        eligible = (np.minimum(buffered, credits) > 0).reshape(vcs, ndirs)
+        age = k.age.reshape(vcs, ndirs) if self._age_arbiter else None
+        dirs, lane_vc = grant(eligible, k.rr, age)
+        probe = self.probe
+        blocked = None
+        if probe is not None:
+            # busy directions where no lane had both a flit and a credit
+            stuck = k.nbusy > 0
+            stuck[dirs] = False
+            blocked = stuck.nonzero()[0]
+        if not dirs.size:
+            if blocked is not None:
+                for d in blocked.tolist():
+                    probe.on_direction_blocked(t, self.dirs[d])
+            return False
+
+        out = lane_vc * ndirs + dirs
+        buffered[out] -= 1
+        credits[out] -= 1
+        sent[out] += 1
+        k.flits[dirs] += 1
+        k.nbusy[dirs[(buffered[out] == 0).nonzero()[0]]] -= 1
+        k.rr[dirs] = (lane_vc + 1) % vcs
+        sink = k.sink[out]
+        received[sink] += 1
+        k.last_arrival[sink] = t
+        # ejection directions come last, and dirs is ascending
+        ejected = dirs.size - int(dirs.searchsorted(k.first_ejection))
+        if ejected:
+            self.delivered_flits_total += ejected
+            if warm:
+                self.result.delivered_flits += ejected
+                self._interval_delivered += ejected
+
+        # ---- events, in direction order: headers entering a lane, tails
+        # leaving one
+        head = received[sink] == 1
+        tail = sent[out] == k.out_size[out]
+        ev = (head | tail).nonzero()[0]
+        rows = list(zip(out[ev].tolist(), head[ev].tolist(), tail[ev].tolist()))
+        if blocked is not None and blocked.size:
+            # interleave the blocked directions: index i < len(rows) is a
+            # flit event, the rest are blocked directions
+            n = len(rows)
+            order = np.argsort(np.concatenate((dirs[ev], blocked)), kind="stable")
+            blocked_dirs = blocked.tolist()
+            rows = [rows[i] if i < n else blocked_dirs[i - n] for i in order.tolist()]
+        outs = k.outs
+        for row in rows:
+            if type(row) is int:
+                probe.on_direction_blocked(t, self.dirs[row])
                 continue
-            lanes = d.lanes
-            n = len(lanes)
-            lane = None
-            idx = 0
-            if age_arb:
-                # oldest packet first (creation cycle; index breaks ties)
-                best_age = 0
-                for j in range(n):
-                    cand = lanes[j]
-                    if cand.buffered > 0 and cand.credits > 0:
-                        age = cand.packet.created
-                        if lane is None or age < best_age:
-                            lane = cand
-                            idx = j
-                            best_age = age
-            else:
-                rr = d.rr
-                for off in range(n):
-                    j = rr + off
-                    if j >= n:
-                        j -= n
-                    cand = lanes[j]
-                    if cand.buffered > 0 and cand.credits > 0:
-                        lane = cand
-                        idx = j
-                        break
-            if lane is None:
-                # busy direction, no lane had both a flit and a credit
-                if probe is not None:
-                    probe.on_direction_blocked(t, d)
-                continue
+            o, is_head, is_tail = row
+            lane = outs[o]
             pkt = lane.packet
-            lane.buffered -= 1
-            lane.credits -= 1
-            lane.sent += 1
-            d.flits += 1
-            if lane.buffered == 0:
-                d.nbusy -= 1
-            sink = lane.sink
-            if d.to_node:
-                # ejection: consume immediately
-                if sink.packet is None:
-                    sink.packet = pkt
-                    sink.received = 1
+            snk = lane.sink
+            if lane.direction.to_node:
+                if is_head:
+                    snk.packet = pkt
                     pkt.head_delivered = t
                     if probe is not None:
                         probe.on_head_delivered(t, pkt)
-                else:
-                    sink.received += 1
-                if warm:
-                    res.delivered_flits += 1
-                    self.delivered_flits_per_node[sink.node] += 1
-                    self._interval_delivered += 1
-                self.delivered_flits_total += 1
-                if sink.received == pkt.size:
-                    pkt.delivered = t
-                    sink.packet = None
-                    sink.received = 0
-                    self.delivered_packets_total += 1
-                    if probe is not None:
-                        probe.on_tail_delivered(t, pkt)
-                    if pkt.injected >= self.config.warmup_cycles:
-                        res.delivered_packets += 1
-                        lat = t - pkt.injected
-                        res.latency_sum += lat
-                        res.head_latency_sum += pkt.head_delivered - pkt.injected
-                        if lat > res.latency_max:
-                            res.latency_max = lat
-                        if self.config.collect_latencies:
-                            res.latencies.append(lat)
-            else:
-                if sink.packet is None:
-                    sink.packet = pkt
-                    sink.received = 1
-                    sink.last_arrival = t
-                    self._enqueue_header(sink)
-                    if probe is not None:
-                        probe.on_head_arrived(t, sink, pkt)
-                else:
-                    sink.received += 1
-                    sink.last_arrival = t
-            if lane.sent == pkt.size:
+                if is_tail:
+                    self._deliver(t, snk, pkt)
+            elif is_head:
+                snk.packet = pkt
+                snk.head_cycle = t
+                k.in_size[snk.lid] = pkt.size
+                self._enqueue_header(snk)
+                if probe is not None:
+                    probe.on_head_arrived(t, snk, pkt)
+            if is_tail:
                 # tail left this switch: free the output lane
                 lane.packet = None
-                lane.sent = 0
-            d.rr = idx + 1 if idx + 1 < n else 0
-            progress = True
+                sent[o] = 0
+        return True
 
-        phases = self._phase_seconds
-        now = clock()
-        phases[0] += now - phase_start
-        phase_start = now
+    def _deliver(self, t: int, sink: EjectionLane, pkt: Packet) -> None:
+        """The tail of ``pkt`` reached its node: the packet is delivered
+        and its ejection lane is free again."""
+        pkt.delivered = t
+        sink.packet = None
+        self.lanes.received[sink.lid] = 0
+        self.delivered_packets_total += 1
+        if self.probe is not None:
+            self.probe.on_tail_delivered(t, pkt)
+        if pkt.injected >= self.config.warmup_cycles:
+            res = self.result
+            res.delivered_packets += 1
+            lat = t - pkt.injected
+            res.latency_sum += lat
+            res.head_latency_sum += pkt.head_delivered - pkt.injected
+            if lat > res.latency_max:
+                res.latency_max = lat
+            if self.config.collect_latencies:
+                res.latencies.append(lat)
 
-        # ---- phase 1b: injection ------------------------------------------
-        cap = self.config.buffer_flits
+    def _injection_phase(self, t: int, warm: bool) -> bool:
+        """Phase 1b: sources advance; idle nodes start their next packet
+        and streaming nodes send their next flit."""
+        k = self.lanes
+        stream = self._stream
+        # nodes mid-packet at the phase start; a packet started below
+        # sends its header only this cycle
+        streaming = (stream >= 0).nonzero()[0]
+        probe = self.probe
+        res = self.result
         default_size = self.config.packet_flits
+        progress = False
         for node in self.active_nodes:
             src = node.source
             created = src.advance(t)
@@ -457,163 +528,163 @@ class Engine:
                     res.generated_packets += created
                 if probe is not None:
                     probe.on_packets_generated(t, node.nid, created)
-            pkt = node.packet
-            if pkt is None:
-                if not src.queue:
-                    continue
-                # allocate a free injection lane (rotating fair choice)
-                lanes = node.lanes
-                n = len(lanes)
-                lane = None
-                for off in range(n):
-                    idx = (node.rr + off) % n
-                    if lanes[idx].packet is None:
-                        lane = lanes[idx]
-                        node.rr = (idx + 1) % n
-                        break
-                if lane is None:
-                    continue
-                entry = src.queue.popleft()
-                # trace-driven sources carry an explicit per-message size
-                size = entry[2] if len(entry) > 2 else default_size
-                pkt = Packet(self._next_pid, node.nid, entry[1], size, entry[0])
-                self._next_pid += 1
-                pkt.injected = t
-                lane.packet = pkt
-                lane.received = 1
-                lane.last_arrival = t
-                self._enqueue_header(lane)
-                node.packet = pkt
-                node.sent = 1
-                node.lane = lane
-                self.injected_packets_total += 1
-                self.injected_flits_total += 1
-                in_flight = (
-                    self.injected_packets_total
-                    - self.delivered_packets_total
-                    - self.dropped_packets_total
-                )
-                if in_flight > self._peak_in_flight:
-                    self._peak_in_flight = in_flight
-                if warm:
-                    res.injected_packets += 1
-                if probe is not None:
-                    probe.on_packet_injected(t, pkt)
-                progress = True
-                if node.sent == size:  # degenerate tiny packets
-                    node.packet = None
-                    node.lane = None
+            if node.packet is not None or not src.queue:
+                continue
+            # allocate a free injection lane (rotating fair choice)
+            lanes = node.lanes
+            n = len(lanes)
+            lane = None
+            for off in range(n):
+                idx = (node.rr + off) % n
+                if lanes[idx].packet is None:
+                    lane = lanes[idx]
+                    node.rr = (idx + 1) % n
+                    break
+            if lane is None:
+                continue
+            entry = src.queue.popleft()
+            # trace-driven sources carry an explicit per-message size
+            size = entry[2] if len(entry) > 2 else default_size
+            pkt = Packet(self._next_pid, node.nid, entry[1], size, entry[0])
+            self._next_pid += 1
+            pkt.injected = t
+            lane.packet = pkt
+            lane.head_cycle = t
+            lid = lane.lid
+            k.received[lid] = 1
+            k.last_arrival[lid] = t
+            k.in_size[lid] = size
+            self._enqueue_header(lane)
+            self.injected_packets_total += 1
+            self.injected_flits_total += 1
+            in_flight = (
+                self.injected_packets_total
+                - self.delivered_packets_total
+                - self.dropped_packets_total
+            )
+            if in_flight > self._peak_in_flight:
+                self._peak_in_flight = in_flight
+            if warm:
+                res.injected_packets += 1
+            if probe is not None:
+                probe.on_packet_injected(t, pkt)
+            progress = True
+            if size == 1:  # degenerate tiny packets
+                node.last_sent = 1
             else:
-                lane = node.lane
-                if lane.received - lane.forwarded < cap:
-                    lane.received += 1
-                    lane.last_arrival = t
-                    node.sent += 1
-                    self.injected_flits_total += 1
-                    progress = True
-                    if node.sent == pkt.size:
+                node.packet = pkt
+                node.lane = lane
+                stream[node.nid] = lid
+
+        if streaming.size:
+            lids = stream[streaming]
+            got = k.received[lids]
+            room = (got - k.forwarded[lids] < k.cap).nonzero()[0]
+            if room.size:
+                lids, got = lids[room], got[room] + 1
+                k.received[lids] = got
+                k.last_arrival[lids] = t
+                self.injected_flits_total += lids.size
+                progress = True
+                done = streaming[room[(got == k.in_size[lids]).nonzero()[0]]]
+                if done.size:
+                    stream[done] = -1
+                    nodes = self.nodes
+                    for nid in done.tolist():
+                        node = nodes[nid]
+                        node.last_sent = node.packet.size
                         node.packet = None
                         node.lane = None
+        return progress
 
-        now = clock()
-        phases[1] += now - phase_start
-        phase_start = now
+    def _crossbar_phase(self, t: int) -> bool:
+        """Phase 2: every bound input lane forwards one flit if it can."""
+        k = self.lanes
+        bound, forwarded, buffered = k.bound, k.forwarded, k.buffered
+        lanes = (bound >= 0).nonzero()[0]
+        out = bound[lanes]
+        fwd = forwarded[lanes]
+        occ = buffered[out]
+        # flits that arrived this cycle are held until the next one
+        held = k.last_arrival[lanes] == t
+        go = ((k.received[lanes] - fwd > held) & (occ < k.cap)).nonzero()[0]
+        if not go.size:
+            return False
+        lanes, out, fwd, occ = lanes[go], out[go], fwd[go] + 1, occ[go]
+        forwarded[lanes] = fwd
+        buffered[out] = occ + 1
+        # lanes of one direction may wake together: accumulate
+        np.add.at(k.nbusy, out[(occ == 0).nonzero()[0]] % k.ndirs, 1)
+        src = k.src[lanes]
+        k.credits[src[(src >= 0).nonzero()[0]]] += 1
+        done = lanes[(fwd == k.in_size[lanes]).nonzero()[0]]
+        if done.size:
+            # tail through the crossbar: release the input lane
+            k.received[done] = 0
+            forwarded[done] = 0
+            bound[done] = -1
+            sinks = k.sinks
+            for i in done.tolist():
+                sinks[i].packet = None
+        return True
 
-        # ---- phase 2: crossbar --------------------------------------------
-        bindings = self.bindings
-        i = 0
-        while i < len(bindings):
-            lane = bindings[i]
-            buffered = lane.received - lane.forwarded
-            if lane.last_arrival == t:
-                buffered -= 1
-            if buffered > 0:
-                out = lane.bound
-                if out.buffered < out.cap:
-                    lane.forwarded += 1
-                    if out.buffered == 0:
-                        out.direction.nbusy += 1
-                    out.buffered += 1
-                    src_out = lane.src_out
-                    if src_out is not None:
-                        src_out.credits += 1
-                    progress = True
-                    if lane.forwarded == lane.packet.size:
-                        # tail through the crossbar: release input lane
-                        lane.packet = None
-                        lane.received = 0
-                        lane.forwarded = 0
-                        lane.bound = None
-                        last = bindings.pop()
-                        if last is not lane:
-                            bindings[i] = last
-                        continue  # serve the swapped-in binding at this slot
-            i += 1
-
-        now = clock()
-        phases[2] += now - phase_start
-        phase_start = now
-
-        # ---- phase 3: routing (one header per switch per cycle) ------------
-        if self.route_queue:
-            select = self.routing.select
-            still = []
-            for s in self.route_queue:
-                pend = self.pending[s]
-                if not pend:
-                    self._in_route_queue[s] = False
+    def _routing_phase(self, t: int) -> bool:
+        """Phase 3: each switch routes at most one pending header."""
+        if not self.route_queue:
+            return False
+        progress = False
+        probe = self.probe
+        age_arb = self._age_arbiter
+        k = self.lanes
+        select = self.routing.select
+        still = []
+        for s in self.route_queue:
+            pend = self.pending[s]
+            if not pend:
+                self._in_route_queue[s] = False
+                continue
+            n = len(pend)
+            if age_arb:
+                # oldest header first; sort stability breaks ties on
+                # arrival order within the pending list
+                order = sorted(range(n), key=lambda i2: pend[i2].packet.created)
+            else:
+                order = None
+                rr = self.route_rr[s] % n
+            routed = -1
+            for off in range(n):
+                if order is not None:
+                    idx = order[off]
+                else:
+                    idx = rr + off
+                    if idx >= n:
+                        idx -= n
+                lane = pend[idx]
+                if lane.head_cycle == t:
+                    # the header itself arrived in this cycle's link
+                    # phase; routing it costs one full T_routing
                     continue
-                n = len(pend)
-                if age_arb:
-                    # oldest header first; sort stability breaks ties on
-                    # arrival order within the pending list
-                    order = sorted(range(n), key=lambda i2: pend[i2].packet.created)
-                else:
-                    order = None
-                    rr = self.route_rr[s] % n
-                routed = -1
-                for off in range(n):
-                    if order is not None:
-                        idx = order[off]
-                    else:
-                        idx = rr + off
-                        if idx >= n:
-                            idx -= n
-                    lane = pend[idx]
-                    if lane.received == 1 and lane.last_arrival == t:
-                        # the header itself arrived in this cycle's link
-                        # phase; routing it costs one full T_routing.
-                        # (received > 1 means the header arrived earlier —
-                        # last_arrival tracks the newest flit, not the head.)
-                        continue
-                    out = select(s, lane, lane.packet)
-                    if out is not None:
-                        lane.bound = out
-                        out.packet = lane.packet
-                        bindings.append(lane)
-                        routed = idx
-                        if probe is not None:
-                            probe.on_header_routed(t, s, lane, out)
-                        break
-                if routed >= 0:
-                    pend.pop(routed)
-                    self.route_rr[s] = routed % len(pend) if pend else 0
-                    progress = True
-                if pend:
-                    still.append(s)
-                else:
-                    self._in_route_queue[s] = False
-            self.route_queue = still
-
-        interval = self.config.interval_cycles
-        if interval and warm and (t - self.config.warmup_cycles + 1) % interval == 0:
-            res.throughput_timeline.append(self._interval_delivered)
-            self._interval_delivered = 0
-
-        if probe is not None:
-            probe.on_cycle(t)
-        phases[3] += clock() - phase_start
-        self.cycle = t + 1
+                pkt = lane.packet
+                out = select(s, lane, pkt)
+                if out is not None:
+                    o = out.lid
+                    k.bound[lane.lid] = o
+                    out.packet = pkt
+                    k.out_size[o] = pkt.size
+                    k.age[o] = pkt.created
+                    routed = idx
+                    if probe is not None:
+                        probe.on_header_routed(t, s, lane, out)
+                    break
+            if routed >= 0:
+                pend.pop(routed)
+                self.route_rr[s] = routed % len(pend) if pend else 0
+                progress = True
+            if pend:
+                still.append(s)
+            else:
+                self._in_route_queue[s] = False
+        self.route_queue = still
         return progress
 
     def _enqueue_header(self, lane: InputLane) -> None:
@@ -772,54 +843,48 @@ class Engine:
             return 0
         t = self.cycle
         flushed = 0
+        k = self.lanes
 
         node = self.nodes[pkt.src]
         if node.packet is pkt:
             node.packet = None
             node.lane = None
-            node.sent = 0
+            node.last_sent = 0
+            self._stream[node.nid] = -1
 
-        victims: list[InputLane] = []
-        for switch_ports in self.in_lanes:
-            for port_lanes in switch_ports:
-                for lane in port_lanes:
-                    if lane.packet is pkt:
-                        victims.append(lane)
-        dead = {id(lane) for lane in victims if lane.bound is not None}
-        if dead:
-            self.bindings[:] = [b for b in self.bindings if id(b) not in dead]
-        for lane in victims:
-            if lane.bound is None:
+        for lane in k.sinks[: k.num_inputs]:
+            if lane.packet is not pkt:
+                continue
+            i = lane.lid
+            if k.bound[i] < 0:
                 # an unbound header is still waiting in the routing queue
                 pend = self.pending[lane.switch]
                 if lane in pend:
                     pend.remove(lane)
-            flushed += lane.received - lane.forwarded
+            flushed += int(k.received[i] - k.forwarded[i])
             lane.packet = None
-            lane.received = 0
-            lane.forwarded = 0
-            lane.bound = None
+            k.received[i] = k.forwarded[i] = 0
+            k.bound[i] = -1
             if lane.src_out is not None:
                 # the (output lane -> input lane) pair carries a single
                 # packet, so after the flush the downstream buffer is
                 # empty and the upstream credit counter returns to cap
-                lane.src_out.credits = lane.cap
+                k.credits[lane.src_out.lid] = k.cap
 
-        for switch_ports in self.out_lanes:
-            for port_lanes in switch_ports:
-                for lane in port_lanes:
-                    if lane.packet is pkt:
-                        if lane.buffered > 0:
-                            lane.direction.nbusy -= 1
-                            flushed += lane.buffered
-                        lane.packet = None
-                        lane.buffered = 0
-                        lane.sent = 0
+        for lane in k.outs:
+            if lane.packet is pkt:
+                o = lane.lid
+                buffered = int(k.buffered[o])
+                if buffered:
+                    k.nbusy[lane.direction.lid] -= 1
+                    flushed += buffered
+                lane.packet = None
+                k.buffered[o] = k.sent[o] = 0
 
         for ej in self.eject_lanes[pkt.dst]:
             if ej.packet is pkt:
                 ej.packet = None
-                ej.received = 0
+                k.received[ej.lid] = 0
 
         pkt.dropped = t
         self.dropped_packets_total += 1
@@ -830,6 +895,23 @@ class Engine:
         if self.probe is not None:
             self.probe.on_packet_dropped(t, pkt, reason)
         return flushed
+
+    @property
+    def bindings(self) -> list[InputLane]:
+        """Crossbar-bound input lanes, in (switch, port, vc) order."""
+        k = self.lanes
+        return [k.sinks[i] for i in np.flatnonzero(k.bound >= 0).tolist()]
+
+    @property
+    def delivered_flits_per_node(self) -> list[int]:
+        """Flits delivered to each node during the measurement window
+        (fairness/hotspot analyses)."""
+        per = [0] * self.topology.num_nodes
+        if self._warmup_snapshot_taken:
+            for d in self.dirs:
+                if d.to_node:
+                    per[d.lanes[0].sink.node] += d.measured_flits
+        return per
 
     def unrouted_headers(self):
         """Yield every input lane holding a header that routing has not
@@ -854,40 +936,63 @@ class Engine:
         Checked after runs by the test-suite:
 
         * buffer occupancies within ``[0, cap]``;
+        * a free input lane holds no flits and no crossbar binding;
+        * crossbar bindings join lanes of one packet;
+        * lane pairs are in step: an output lane that has sent flits of
+          its packet feeds a sink holding that same packet, which has
+          received exactly those flits (no interleaved packets, no lane
+          released before its tail);
         * credit counters mirror downstream free space exactly;
-        * crossbar bindings are mutually consistent;
+        * ``nbusy`` counts the lanes of each direction holding flits;
         * flit conservation: every injected flit is either delivered or
           buffered in exactly one lane.
         """
-        buffered_flits = 0
-        for s in range(self.topology.num_switches):
-            for port_lanes in self.in_lanes[s]:
-                for lane in port_lanes:
-                    buf = lane.received - lane.forwarded
-                    if not 0 <= buf <= lane.cap:
-                        raise SimulationError(f"input buffer out of range: {lane!r}")
-                    if lane.packet is None and (lane.received or lane.forwarded or lane.bound):
-                        raise SimulationError(f"free input lane with residue: {lane!r}")
-                    if lane.bound is not None and lane.bound.packet is not lane.packet:
-                        raise SimulationError(f"binding mismatch: {lane!r} -> {lane.bound!r}")
-                    buffered_flits += buf
-            for port_lanes in self.out_lanes[s]:
-                for lane in port_lanes:
-                    if not 0 <= lane.buffered <= lane.cap:
-                        raise SimulationError(f"output buffer out of range: {lane!r}")
-                    sink = lane.sink
-                    if isinstance(sink, InputLane):
-                        expect = sink.cap - (sink.received - sink.forwarded)
-                        if lane.credits != expect:
-                            raise SimulationError(
-                                f"credit drift: {lane!r} credits={lane.credits}, "
-                                f"downstream free space={expect}"
-                            )
-                    buffered_flits += lane.buffered
+        k = self.lanes
+        cap = k.cap
+        n_in = k.num_inputs
+        sinks, outs = k.sinks, k.outs
+
+        def first(bad: np.ndarray, lanes: list, what: str) -> None:
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                raise SimulationError(f"{what}: {lanes[int(hits[0])]!r}")
+
+        received, forwarded, bound = k.received[:n_in], k.forwarded[:n_in], k.bound[:n_in]
+        in_buffered = received - forwarded
+        first((in_buffered < 0) | (in_buffered > cap), sinks, "input buffer out of range")
+        free = np.array([lane.packet is None for lane in sinks[:n_in]], dtype=bool)
+        first(
+            free & ((received != 0) | (forwarded != 0) | (bound >= 0)),
+            sinks,
+            "free input lane with residue",
+        )
+        for i in np.flatnonzero(bound >= 0).tolist():
+            lane = sinks[i]
+            if lane.bound.packet is not lane.packet:
+                raise SimulationError(f"binding mismatch: {lane!r} -> {lane.bound!r}")
+        for o in np.flatnonzero(k.sent > 0).tolist():
+            lane = outs[o]
+            sink = lane.sink
+            if sink.packet is not lane.packet or sink.received != int(k.sent[o]):
+                raise SimulationError(f"lane pair out of step: {lane!r} -> {sink!r}")
+        first((k.buffered < 0) | (k.buffered > cap), outs, "output buffer out of range")
+        free_space = cap - (k.received - k.forwarded)[k.sink]
+        drift = ~np.tile(k.to_node, k.vcs) & (k.credits != free_space)
+        for o in np.flatnonzero(drift)[:1].tolist():
+            raise SimulationError(
+                f"credit drift: {outs[o]!r} credits={int(k.credits[o])}, "
+                f"downstream free space={int(free_space[o])}"
+            )
+        busy = np.count_nonzero(k.buffered.reshape(k.vcs, k.ndirs) > 0, axis=0)
+        for d in np.flatnonzero(busy != k.nbusy)[:1].tolist():
+            raise SimulationError(
+                f"nbusy drift: direction {d} nbusy={int(k.nbusy[d])}, busy lanes={int(busy[d])}"
+            )
         # delivered_flits_total counts every ejected flit (including those
         # of packets still partially in flight) and dropped_flits_total
         # every flit flushed by a fail-stop kill, so what remains in the
         # network is exactly the sum of lane buffers.
+        buffered_flits = int(in_buffered.sum()) + int(k.buffered.sum())
         in_network = (
             self.injected_flits_total
             - self.delivered_flits_total

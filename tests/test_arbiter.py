@@ -1,79 +1,90 @@
-"""Unit tests for fair arbitration (repro.router.arbiter): round-robin
-rotation and its bounded-wait guarantee, and the age-based (oldest
-packet first) alternative selectable via ``config.arbiter``."""
+"""Unit tests for the link-phase arbiter (repro.router.arbiter.grant):
+round-robin rotation and its bounded-wait guarantee, and the age-based
+(oldest packet first) alternative selectable via ``config.arbiter``.
+
+``grant`` is the engine kernel's own arbitration step, so these cases
+exercise exactly what every link phase runs.  Single-direction cases use
+``(V, 1)`` eligibility columns; the pointer update after a grant mirrors
+the engine's (``rr = granted lane + 1``, wrapping).
+"""
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.router.arbiter import (
-    ARBITER_POLICIES,
-    AgeArbiter,
-    RoundRobinArbiter,
-    oldest_pick,
-    round_robin_pick,
-)
+from repro.router.arbiter import ARBITER_POLICIES, grant
+
+
+def pick(requests, rr=0, ages=None):
+    """The lane one direction grants, or None."""
+    eligible = np.array(requests, dtype=bool)[:, None]
+    age = None if ages is None else np.array(ages, dtype=np.int64)[:, None]
+    dirs, vcs = grant(eligible, np.array([rr]), age)
+    return int(vcs[0]) if dirs.size else None
+
+
+class RoundRobin:
+    """One direction's arbiter state, advanced the way the engine does."""
+
+    def __init__(self, size):
+        self.size = size
+        self.rr = 0
+
+    def grant(self, requests):
+        granted = pick(requests, self.rr)
+        if granted is not None:
+            self.rr = (granted + 1) % self.size
+        return granted
 
 
 class TestRoundRobinPick:
     def test_picks_first_eligible_from_start(self):
-        items = ["a", "b", "c", "d"]
-        nxt, item = round_robin_pick(items, 1, lambda x: x in ("c", "a"))
-        assert item == "c"
-        assert nxt == 3
+        assert pick([True, False, True, False], rr=1) == 2
 
     def test_wraps_around(self):
-        items = ["a", "b", "c"]
-        nxt, item = round_robin_pick(items, 2, lambda x: x == "a")
-        assert item == "a"
-        assert nxt == 1
+        assert pick([True, False, False], rr=2) == 0
 
     def test_none_eligible(self):
-        nxt, item = round_robin_pick([1, 2, 3], 0, lambda x: False)
-        assert item is None
-        assert nxt == 0
+        assert pick([False, False, False], rr=0) is None
 
     def test_empty(self):
-        nxt, item = round_robin_pick([], 5, lambda x: True)
-        assert item is None
+        dirs, vcs = grant(np.zeros((4, 0), dtype=bool), np.zeros(0, dtype=np.int64))
+        assert dirs.size == 0 and vcs.size == 0
 
     def test_rotation_is_fair(self):
-        items = [0, 1, 2]
-        start = 0
-        picks = []
-        for _ in range(6):
-            start, item = round_robin_pick(items, start, lambda x: True)
-            picks.append(item)
-        assert picks == [0, 1, 2, 0, 1, 2]
+        arb = RoundRobin(3)
+        assert [arb.grant([True] * 3) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 class TestRoundRobinArbiter:
     def test_grants_rotate(self):
-        arb = RoundRobinArbiter(3)
-        grants = [arb.grant([True, True, True]) for _ in range(6)]
-        assert grants == [0, 1, 2, 0, 1, 2]
+        # every direction is arbitrated independently in one call
+        eligible = np.ones((3, 4), dtype=bool)
+        eligible[:, 3] = False
+        dirs, vcs = grant(eligible, np.array([0, 1, 2, 0]))
+        assert dirs.tolist() == [0, 1, 2]
+        assert vcs.tolist() == [0, 1, 2]
 
     def test_no_requests(self):
-        arb = RoundRobinArbiter(2)
-        assert arb.grant([False, False]) is None
+        dirs, vcs = grant(np.zeros((2, 5), dtype=bool), np.zeros(5, dtype=np.int64))
+        assert dirs.size == 0
 
     def test_no_starvation(self):
         # input 2 requests constantly, 0 intermittently; both get served
-        arb = RoundRobinArbiter(3)
+        arb = RoundRobin(3)
         served = {0: 0, 2: 0}
         for i in range(20):
-            req = [i % 2 == 0, False, True]
-            g = arb.grant(req)
+            g = arb.grant([i % 2 == 0, False, True])
             if g is not None:
                 served[g] += 1
         assert served[0] > 0 and served[2] > 0
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            RoundRobinArbiter(0)
-        arb = RoundRobinArbiter(2)
+            grant(np.ones((2, 3), dtype=bool), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
-            arb.grant([True])
+            grant(np.ones((2, 3), dtype=bool), np.zeros(3, dtype=np.int64), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("seed", [3, 17, 91])
     def test_bounded_wait_property(self, seed):
@@ -82,7 +93,7 @@ class TestRoundRobinArbiter:
         # ``size`` grants of any other grant
         size = 6
         target = 2
-        arb = RoundRobinArbiter(size)
+        arb = RoundRobin(size)
         rng = random.Random(seed)
         since_target = 0
         for _ in range(500):
@@ -99,47 +110,38 @@ class TestRoundRobinArbiter:
 
 class TestOldestPick:
     def test_picks_smallest_age_among_eligible(self):
-        items = [("a", 30), ("b", 10), ("c", 5), ("d", 20)]
-        pick = oldest_pick(
-            items, lambda x: x[0] != "c", age=lambda x: x[1]
-        )
-        assert pick == ("b", 10)  # c is oldest but ineligible
+        # lane 2 is oldest but ineligible
+        assert pick([True, True, False, True], ages=[30, 10, 5, 20]) == 1
 
     def test_ties_break_on_lowest_index(self):
-        items = [("a", 7), ("b", 7)]
-        assert oldest_pick(items, lambda x: True, age=lambda x: x[1]) == ("a", 7)
+        assert pick([True, True], ages=[7, 7]) == 0
 
     def test_none_eligible(self):
-        assert oldest_pick([1, 2], lambda x: False, age=lambda x: x) is None
+        assert pick([False, False], ages=[1, 2]) is None
 
 
 class TestAgeArbiter:
     def test_grants_oldest_requester(self):
-        arb = AgeArbiter(4)
-        assert arb.grant([True, True, False, True], [40, 12, 1, 33]) == 1
+        assert pick([True, True, False, True], rr=3, ages=[40, 12, 1, 33]) == 1
 
     def test_ties_break_on_lowest_index(self):
-        arb = AgeArbiter(3)
-        assert arb.grant([True, True, True], [5, 5, 5]) == 0
+        # the round-robin pointer plays no part under the age policy
+        assert pick([True, True, True], rr=2, ages=[5, 5, 5]) == 0
 
     def test_no_requests(self):
-        arb = AgeArbiter(2)
-        assert arb.grant([False, False], [1, 2]) is None
+        assert pick([False, False], ages=[1, 2]) is None
 
     def test_validation(self):
+        eligible = np.ones((2, 1), dtype=bool)
         with pytest.raises(ValueError):
-            AgeArbiter(0)
-        arb = AgeArbiter(2)
+            grant(eligible, np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64))
         with pytest.raises(ValueError):
-            arb.grant([True], [1])
-        with pytest.raises(ValueError):
-            arb.grant([True, True], [1])
+            grant(eligible, np.zeros(2, dtype=np.int64), np.zeros((2, 1), dtype=np.int64))
 
     def test_age_order_is_starvation_free(self):
         # churn: every round a fresh (younger) request appears, yet the
         # population drains strictly oldest-first, so the early packets
         # are never starved by the late arrivals
-        arb = AgeArbiter(8)
         ages = [None] * 8
         next_age = 0
         for slot in range(4):  # pre-fill half the inputs
@@ -152,8 +154,7 @@ class TestAgeArbiter:
             if free:  # a younger packet joins at a random free input
                 ages[rng.choice(free)] = next_age
                 next_age += 3
-            requests = [a is not None for a in ages]
-            granted = arb.grant(requests, [a or 0 for a in ages])
+            granted = pick([a is not None for a in ages], ages=[a or 0 for a in ages])
             drained.append(ages[granted])
             ages[granted] = None
         assert drained == sorted(drained)

@@ -81,6 +81,69 @@ class TestAuditDetectsCorruption:
             engine.audit()
 
 
+    # -- lane-array corruption: the checks the lane classes used to make
+    # on every flit, now made once over the whole state by the audit
+
+    def test_input_lane_overflow(self, busy):
+        lane = next(l for l in fabric_sinks(busy) if l.packet is not None)
+        busy.lanes.received[lane.lid] += lane.cap  # more flits than credits allow
+        with pytest.raises(SimulationError, match="input buffer out of range"):
+            busy.audit()
+
+    def test_input_lane_interleaving(self, busy):
+        # a flit of another packet lands on an allocated, unrouted lane
+        out = next(
+            o for o in mid_worm(busy) if not o.direction.to_node and o.sink.bound is None
+        )
+        out.sink.packet = Packet(10**6, 0, 1, 8, 0)
+        with pytest.raises(SimulationError, match="lane pair out of step"):
+            busy.audit()
+
+    def test_input_lane_released_before_tail(self, busy):
+        lane = next(
+            o.sink for o in mid_worm(busy) if not o.direction.to_node
+        )
+        # what a crossbar releasing the lane early would leave behind
+        k = busy.lanes
+        lane.packet = None
+        k.received[lane.lid] = k.forwarded[lane.lid] = 0
+        k.bound[lane.lid] = -1
+        with pytest.raises(SimulationError, match="lane pair out of step"):
+            busy.audit()
+
+    def test_ejection_lane_interleaving(self, busy):
+        out = next(o for o in mid_worm(busy) if o.direction.to_node)
+        out.sink.packet = Packet(10**6, 0, 1, 8, 0)
+        with pytest.raises(SimulationError, match="lane pair out of step"):
+            busy.audit()
+
+    def test_nbusy_drift(self, busy):
+        busy.lanes.nbusy[0] += 1
+        with pytest.raises(SimulationError, match="nbusy drift"):
+            busy.audit()
+
+
+@pytest.fixture
+def busy():
+    """An engine stopped mid-run at high load, worms spread over the fabric."""
+    eng = build_engine(
+        cube_config(k=4, n=2, algorithm="dor", load=0.9, seed=3,
+                    warmup_cycles=50, total_cycles=300)
+    )
+    eng.run()
+    eng.audit()
+    return eng
+
+
+def fabric_sinks(engine):
+    return [l for l in engine.lanes.sinks[: engine.lanes.num_inputs] if l.src_out is not None]
+
+
+def mid_worm(engine):
+    """Output lanes that have sent part of their packet."""
+    return [o for o in engine.lanes.outs if o.sent > 0]
+
+
 class TestWiringChecks:
     def test_double_wiring_detected(self):
         # wiring the same port twice must fail fast at construction

@@ -13,7 +13,6 @@ import os
 import pathlib
 import pickle
 import signal
-import threading
 import time
 from functools import partial
 
@@ -46,7 +45,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import build_engine, simulate
+from repro.sim.run import build_engine, cube_config, simulate
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import TransportConfig, simulate_reliable
 
@@ -163,6 +162,27 @@ class TestResumeIdentity:
             _BOOM["armed"] = False
         # the crash landed between checkpoints 400 and 600
         assert [h["cycle"] for h in _headers(tmp_path)] == [200, 400]
+        assert _canonical(simulate(config, checkpoint=policy)) == reference
+
+    def test_loaded_paper_cube_resumes_byte_identically(self, tmp_path):
+        # a 256-node Duato cube near saturation: crossbar bindings chain
+        # worms across the whole torus, which once drove the engine's
+        # pickle past the interpreter's recursion limit
+        config = cube_config(
+            algorithm="duato", load=0.9, seed=5, warmup_cycles=200, total_cycles=1300
+        )
+        reference = _canonical(simulate(config))
+        policy = _policy(tmp_path, interval=1200)
+        engine = build_engine(config)
+        attach_checkpoints(engine, policy)
+        engine.add_cycle_hook(1250, _boom)
+        _BOOM["armed"] = True
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                engine.run()
+        finally:
+            _BOOM["armed"] = False
+        assert [h["cycle"] for h in _headers(tmp_path)] == [1200]
         assert _canonical(simulate(config, checkpoint=policy)) == reference
 
     def test_statehash_chain_identical_across_resume(self, tmp_path):
@@ -441,25 +461,32 @@ class TestCampaignSupervision:
 
 
 class TestSigtermParity:
-    def test_sigterm_exits_143_and_flushes(self, tmp_path, capsys):
+    def test_sigterm_exits_143_and_flushes(self, tmp_path, capsys, monkeypatch):
         if not hasattr(signal, "SIGTERM"):
             pytest.skip("no SIGTERM on this platform")
         from repro.cli import main
+        from repro.sim import run as run_module
 
-        timer = threading.Timer(0.6, os.kill, (os.getpid(), signal.SIGTERM))
-        timer.start()
-        try:
-            rc = main(
-                [
-                    "sweep",
-                    "--profile",
-                    "default",
-                    "--checkpoint",
-                    str(tmp_path / "camp"),
-                ]
-            )
-        finally:
-            timer.cancel()
+        # the signal comes from inside the first point's engine, at a
+        # fixed cycle, so it always lands mid-sweep however fast the
+        # engine runs
+        build = run_module.build_engine
+
+        def build_engine(config, probe=None):
+            engine = build(config, probe=probe)
+            engine.add_cycle_hook(50, _self_sigterm)
+            return engine
+
+        monkeypatch.setattr(run_module, "build_engine", build_engine)
+        rc = main(
+            [
+                "sweep",
+                "--profile",
+                "default",
+                "--checkpoint",
+                str(tmp_path / "camp"),
+            ]
+        )
         assert rc == 143
         assert "terminated" in capsys.readouterr().err
 
@@ -499,6 +526,10 @@ def _request_checkpoint(engine) -> None:
 
 def _self_sigusr1(engine) -> None:
     os.kill(os.getpid(), signal.SIGUSR1)
+
+
+def _self_sigterm(engine) -> None:
+    os.kill(os.getpid(), signal.SIGTERM)
 
 
 _CALLS = {"n": 0}

@@ -72,6 +72,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             valid(vcs=0, algorithm="dor")
 
+    def test_vcs_bounded_by_the_arbiter_table(self):
+        from repro.sim.config import MAX_VCS
+
+        valid(vcs=MAX_VCS)
+        with pytest.raises(ConfigurationError, match="virtual channels"):
+            valid(vcs=MAX_VCS + 2)
+
     def test_label_is_informative(self):
         lbl = valid(load=0.25).label()
         assert "cube" in lbl and "dor" in lbl and "0.250" in lbl
