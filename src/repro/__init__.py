@@ -56,7 +56,7 @@ from .profiles import DEFAULT, FAST, FULL, Profile, get_profile
 from .sim.config import SimulationConfig
 from .sim.engine import Engine
 from .sim.results import RunResult
-from .sim.run import build_engine, cube_config, simulate, tree_config
+from .sim.run import RunPlan, build_engine, cube_config, run_plan, simulate, tree_config
 from .timing.chien import RouterDelays, table1_cube_delays, table2_tree_delays
 from .timing.normalization import NetworkScaling, cube_scaling, tree_scaling
 from .topology.cube import KAryNCube
@@ -82,7 +82,9 @@ __all__ = [
     "SimulationConfig",
     "Engine",
     "RunResult",
+    "RunPlan",
     "build_engine",
+    "run_plan",
     "cube_config",
     "simulate",
     "tree_config",

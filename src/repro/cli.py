@@ -113,7 +113,7 @@ from .experiments.search import find_saturation
 from .experiments.sweep import default_loads, run_sweep
 from .experiments.tables import table1_rows, table2_rows
 from .profiles import get_profile
-from .sim.run import cube_config, simulate, tree_config
+from .sim.run import cube_config, tree_config
 from .timing.normalization import cube_scaling, equal_cost_pairs, tree_scaling
 from .topology.cube import KAryNCube
 from .topology.tree import KAryNTree
@@ -260,18 +260,6 @@ def _statehash_config(args):
     if interval:
         return StateDigestConfig(interval_cycles=interval, audit=audit)
     return StateDigestConfig(audit=audit)
-
-
-def _compose_probes(probes):
-    """One probe from many (None entries dropped), or None."""
-    live = [p for p in probes if p is not None]
-    if not live:
-        return None
-    if len(live) == 1:
-        return live[0]
-    from .obs import MultiProbe
-
-    return MultiProbe(live)
 
 
 def _watch_sampler(stream=None):
@@ -501,51 +489,67 @@ def _with_cprofile(args, body):
             print(f"cProfile stats written to {target}", file=sys.stderr)
 
 
+def _run_surviving_deadlock(plan, survive: bool = True):
+    """``(result, deadlock)`` of one plan.  With ``survive`` a deadlock
+    returns the partial result and the error instead of raising: the
+    probe documents up to the wedge are the post-mortem."""
+    from .errors import DeadlockError
+    from .sim.run import run_plan
+
+    try:
+        return run_plan(plan), None
+    except DeadlockError as exc:
+        if not survive:
+            raise
+        return exc.result, exc
+
+
+def _observer_layers(args) -> tuple:
+    """The flight-recorder and state-digest layers of a single run
+    (--flight/--watch/--events, --statehash/--audit)."""
+    layers = _flight_layers(args, live=True)
+    statehash = _statehash_config(args)
+    if statehash is not None:
+        from .obs.statehash import Statehash
+
+        layers += (Statehash(statehash),)
+    return layers
+
+
+def _flight_layers(args, live: bool = False) -> tuple:
+    """The flight-recorder layer requested by --flight/--watch/--events.
+
+    ``live`` (single runs) streams --watch and --events from the
+    recorder itself; campaigns report per point instead.
+    """
+    flight = _flight_config(args)
+    if flight is None:
+        return ()
+    from .obs.flight import Flight
+
+    if not live:
+        return (Flight(flight),)
+    on_sample = _watch_sampler() if args.watch else None
+    return (Flight(flight, on_sample=on_sample, events=args.events),)
+
+
 def cmd_run(args) -> int:
     def body() -> int:
         import dataclasses
 
+        from .sim.run import RunPlan
+
         config = _make_config(args, args.load)
         if args.latencies or args.forensics:
             config = dataclasses.replace(config, collect_latencies=True)
-        flight = _flight_config(args)
-        recorder = None
-        if flight is not None:
-            from .obs.flight import FlightRecorder
+        layers = ()
+        if args.forensics:
+            from .obs.forensics import Forensics
 
-            recorder = FlightRecorder(
-                flight,
-                on_sample=_watch_sampler() if args.watch else None,
-                events=args.events,
-            )
-        digests = None
-        statehash = _statehash_config(args)
-        if statehash is not None:
-            from .obs.statehash import StateDigestProbe
-
-            digests = StateDigestProbe(statehash)
-        extra = _compose_probes([recorder, digests])
-        checkpoint = _checkpoint_policy(args)
-        deadlock = probe = None
-        if args.forensics and checkpoint is not None:
-            if extra is not None:
-                raise ConfigurationError(
-                    "--checkpoint/--resume with --forensics cannot also take "
-                    "--flight/--statehash on run (drop one tier)"
-                )
-            from .obs.forensics import simulate_with_forensics
-
-            result = simulate_with_forensics(
-                config, sample_every=args.sample_every, checkpoint=checkpoint
-            )
-        elif args.forensics:
-            from .obs.forensics import run_with_forensics
-
-            result, probe, deadlock = run_with_forensics(
-                config, sample_every=args.sample_every, probe=extra
-            )
-        else:
-            result = simulate(config, probe=extra, checkpoint=checkpoint)
+            layers = (Forensics(sample_every=args.sample_every),)
+        layers += _observer_layers(args)
+        plan = RunPlan(config, layers, _checkpoint_policy(args))
+        result, deadlock = _run_surviving_deadlock(plan, survive=args.forensics)
         if args.watch:
             print(file=sys.stderr)  # finish the in-place status line
         ledger = _open_ledger(args)
@@ -568,10 +572,10 @@ def cmd_run(args) -> int:
             from .obs.percentiles import format_percentiles
 
             print(format_percentiles(pct))
-        if probe is not None:
+        if result.telemetry is not None and result.telemetry.forensics is not None:
             from .obs.forensics import describe_forensics
 
-            print(describe_forensics(probe.summary()))
+            print(describe_forensics(result.telemetry.forensics))
         if result.telemetry is not None and result.telemetry.flight is not None:
             from .obs.flight import describe_flight
 
@@ -619,19 +623,11 @@ def cmd_sweep(args) -> int:
         loads = default_loads(profile.sweep_points)
         telemetry: list = []
 
-        flight = _flight_config(args)
-        simulate_fn = None
-        if flight is not None:
-            if args.forensics:
-                raise ConfigurationError(
-                    "--forensics and --flight cannot be combined on sweep "
-                    "(run supports both at once)"
-                )
-            from functools import partial
+        layers = _flight_layers(args)
+        if args.forensics:
+            from .obs.forensics import Forensics
 
-            from .obs.flight import simulate_with_flight
-
-            simulate_fn = partial(simulate_with_flight, flight=flight)
+            layers = (Forensics(),) + layers
         campaign_progress, close_events = _campaign_progress(args)
 
         def progress(p) -> None:
@@ -647,8 +643,8 @@ def cmd_sweep(args) -> int:
                     label=args.pattern,
                     progress=progress,
                     ledger=_open_ledger(args),
-                    forensics=args.forensics,
-                    simulate_fn=simulate_fn,
+                    layers=layers,
+                    ledger_kind="forensics" if args.forensics else None,
                     checkpoints=_campaign_checkpoints(args),
                 )
         except _SigtermInterrupt:
@@ -694,39 +690,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     def body() -> int:
-        from .errors import DeadlockError
-        from .obs import MultiProbe, TraceProbe, WindowedCounterProbe
-        from .sim.run import build_engine
+        from .obs import Attach, TraceProbe, WindowedCounterProbe
+        from .sim.run import RunPlan
 
         config = _make_config(args, args.load)
         tracer = TraceProbe(max_events=args.max_events)
         counters = WindowedCounterProbe(window_cycles=args.window)
-        probes = [tracer, counters]
-        recorder = None
-        flight = _flight_config(args)
-        if flight is not None:
-            from .obs.flight import FlightRecorder
-
-            recorder = FlightRecorder(
-                flight,
-                on_sample=_watch_sampler() if args.watch else None,
-                events=args.events,
-            )
-            probes.append(recorder)
-        statehash = _statehash_config(args)
-        if statehash is not None:
-            from .obs.statehash import StateDigestProbe
-
-            probes.append(StateDigestProbe(statehash))
-        engine = build_engine(config, probe=MultiProbe(probes))
-        deadlocked = None
-        try:
-            result = engine.run()
-        except DeadlockError as exc:
-            # the trace up to the wedge is exactly what one wants to see
-            deadlocked = exc
-            result = engine.result
-        if recorder is not None and args.watch:
+        layers = (Attach(tracer), Attach(counters)) + _observer_layers(args)
+        result, deadlocked = _run_surviving_deadlock(RunPlan(config, layers))
+        if args.watch:
             print(file=sys.stderr)
 
         ledger = _open_ledger(args)

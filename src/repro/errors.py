@@ -55,11 +55,15 @@ class DeadlockError(SimulationError):
         snapshot: a :class:`repro.sim.diagnostics.DeadlockSnapshot` of the
             stalled network (blocked packets, held lanes, cycle counters),
             or ``None`` when the raiser had no engine at hand.
+        result: the run's partial :class:`~repro.sim.results.RunResult`
+            (probe documents attached) when an engine run raised it;
+            in-process only, it is not pickled.
     """
 
     def __init__(self, message: str, snapshot=None):
         super().__init__(message)
         self.snapshot = snapshot
+        self.result = None
 
     def __reduce__(self):
         # keep the snapshot across pickling (sweep worker processes)

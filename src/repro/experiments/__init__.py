@@ -14,7 +14,7 @@
   under the reliable transport (goodput-degradation campaigns).
 """
 
-from .chaos import ChaosSeries, StormSpec, chaos_campaign, run_chaos_point
+from .chaos import ChaosSeries, Storm, StormSpec, chaos_campaign, chaos_layers
 from .dimension import dimension_study, normalize_cube
 from .drain import DrainResult, drain_permutation
 from .fig5 import fig5_experiment, fig5_loads
@@ -30,7 +30,8 @@ __all__ = [
     "ChaosSeries",
     "StormSpec",
     "chaos_campaign",
-    "run_chaos_point",
+    "chaos_layers",
+    "Storm",
     "dimension_study",
     "normalize_cube",
     "DrainResult",

@@ -47,16 +47,13 @@ from ..faults import (
     random_uplink_faults,
 )
 from ..metrics.series import LoadSweepSeries
+from ..obs.flight import Flight, FlightRecorder
+from ..obs.probe import Layer, find_probe
 from ..profiles import Profile, get_profile
-from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import build_engine
+from ..sim.run import Audit
 from ..topology.tree import KAryNTree
-from ..traffic.transport import (
-    ReliableTransport,
-    TransportConfig,
-    attach_reliability,
-)
+from ..traffic.transport import Transport, TransportConfig, attach_reliability
 from .degradation import _make_config, fault_population
 from .sweep import default_loads, run_sweep
 
@@ -128,26 +125,38 @@ class ChaosSeries:
         return sum(r.dropped_packets for r in self.results)
 
 
+def _storm_document(topo, storm: StormSpec) -> dict:
+    """The storm recipe as run on ``topo``, with the fault count clamped
+    to the safely failable population (trees cap at ``k - 1``
+    up-channels per switch)."""
+    population = fault_population(topo)
+    requested = round(storm.fault_rate * population)
+    if isinstance(topo, KAryNTree):
+        count = min(requested, (topo.n - 1) * topo.switches_per_level * (topo.k - 1))
+    else:
+        count = min(requested, population)
+    return {
+        "fault_rate": storm.fault_rate,
+        "repair_cycles": storm.repair_cycles,
+        "storm_seed": storm.storm_seed,
+        "faults": count,
+        "population": population,
+    }
+
+
 def _draw_storm_schedule(engine, storm: StormSpec) -> FaultSchedule | None:
     """Build the fail-stop schedule for ``storm`` on a built engine.
 
     Returns ``None`` for a zero-fault storm (the chaos baseline row).
-    The draw is clamped to the safely failable population (trees cap at
-    ``k - 1`` up-channels per switch); the clamp is visible in the storm
-    document's ``faults`` count.
     """
     topo = engine.topology
-    population = fault_population(topo)
-    requested = round(storm.fault_rate * population)
+    count = _storm_document(topo, storm)["faults"]
     if isinstance(topo, KAryNTree):
-        max_safe = (topo.n - 1) * topo.switches_per_level * (topo.k - 1)
-        count = min(requested, max_safe)
         specs = [
             TreeUplinkFault(s, p)
             for s, p in random_uplink_faults(topo, count, seed=storm.storm_seed)
         ]
     else:
-        count = min(requested, population)
         specs = [
             CubeLinkFault(node, dim, direction)
             for node, dim, direction in random_cube_link_faults(
@@ -168,80 +177,43 @@ def _draw_storm_schedule(engine, storm: StormSpec) -> FaultSchedule | None:
     return schedule
 
 
-def _resume_finish(engine, result, storm):
-    """Checkpoint finisher: the post-run work of :func:`run_chaos_point`."""
-    from ..obs.flight import _find_transport
+@dataclass(frozen=True)
+class Storm(Layer):
+    """Run layer: a fail-stop fault storm.
 
-    engine.audit()
-    return attach_reliability(
-        result, _find_transport(engine.probe), extra={"storm": storm}
-    )
-
-
-def run_chaos_point(
-    config: SimulationConfig, storm: StormSpec, flight=None, checkpoint=None
-) -> RunResult:
-    """Simulate one chaos point: reliable transport + fail-stop storm.
-
-    Module-level and driven by picklable arguments, so the resilient
-    sweep can fan it out over process pools via ``functools.partial``.
-    The engine is audited after the run — a storm that corrupts a
-    network invariant fails loudly instead of skewing a curve.
-
-    ``flight`` (a :class:`~repro.obs.flight.FlightConfig`) attaches a
-    flight recorder; every scheduled strike/repair is stamped on the
-    timeline as a ``fault_strike``/``fault_repair`` annotation (the
-    schedule is known up front, so the stamps carry the exact cycles).
-
-    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the point resumable: the storm schedule's pending strikes ride
-    the engine's cycle hooks inside the snapshot, and the audit +
-    reliability document are reapplied through the checkpoint finisher.
+    The schedule's pending strikes ride the engine's cycle hooks (and so
+    any checkpoint); a flight recorder installed earlier gets every
+    strike/repair stamped on its timeline as a ``fault_strike`` /
+    ``fault_repair`` annotation.  The storm recipe joins
+    ``telemetry.reliability["storm"]``, so install a transport layer
+    first.
     """
-    if checkpoint is not None:
-        from ..sim.checkpoint import resume_point
 
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-    recorder = None
-    if flight is not None:
-        from ..obs.flight import FlightRecorder
+    storm: StormSpec
 
-        recorder = FlightRecorder(flight)
-    engine = build_engine(config, probe=recorder)
-    transport = ReliableTransport(storm.transport).install(engine)
-    schedule = _draw_storm_schedule(engine, storm)
-    if schedule is not None:
+    def install(self, engine) -> None:
+        schedule = _draw_storm_schedule(engine, self.storm)
+        if schedule is None:
+            return
         schedule.install(engine)
+        recorder = find_probe(engine.probe, FlightRecorder)
         if recorder is not None:
             for entry in schedule.entries:
-                recorder.annotate(
-                    entry.fail_at, "fault_strike", str(entry.spec)
-                )
+                recorder.annotate(entry.fail_at, "fault_strike", str(entry.spec))
                 if entry.repair_at is not None:
-                    recorder.annotate(
-                        entry.repair_at, "fault_repair", str(entry.spec)
-                    )
-    doc = {
-        "fault_rate": storm.fault_rate,
-        "repair_cycles": storm.repair_cycles,
-        "storm_seed": storm.storm_seed,
-        "faults": len(schedule) if schedule is not None else 0,
-        "population": fault_population(engine.topology),
-    }
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints
+                    recorder.annotate(entry.repair_at, "fault_repair", str(entry.spec))
 
-        attach_checkpoints(
-            engine,
-            checkpoint,
-            finisher="repro.experiments.chaos:_resume_finish",
-            finisher_args={"storm": doc},
-        )
-    result = engine.run()
-    engine.audit()
-    return attach_reliability(result, transport, extra={"storm": doc})
+    def finish(self, engine, result):
+        doc = _storm_document(engine.topology, self.storm)
+        return attach_reliability(result, extra={"storm": doc})
+
+
+def chaos_layers(storm: StormSpec, flight=None) -> tuple:
+    """One chaos point's layers: an optional flight recorder (``flight``
+    is a :class:`~repro.obs.flight.FlightConfig`), the reliable
+    transport, the storm, and a post-run engine audit."""
+    recorder = () if flight is None else (Flight(flight),)
+    return recorder + (Transport(storm.transport), Storm(storm), Audit())
 
 
 def default_transport(profile: Profile) -> TransportConfig:
@@ -280,7 +252,7 @@ def chaos_campaign(
     """Grid fail-stop storms over fault rate × repair time × offered load.
 
     One :class:`ChaosSeries` per (fault_rate, repair_cycles) pair, each a
-    full load sweep of :func:`run_chaos_point` through the resilient
+    full load sweep of :func:`chaos_layers` plans through the resilient
     harness.  Adaptive algorithms only — the storms are lane-level, so
     deterministic baselines reject them at validation (by design: the
     unprotected contrast belongs to the fault tests, not the campaign).
@@ -327,7 +299,7 @@ def chaos_campaign(
                 record_failures=record_failures,
                 progress=progress,
                 ledger=ledger,
-                simulate_fn=partial(run_chaos_point, storm=storm, flight=flight),
+                layers=chaos_layers(storm, flight),
                 ledger_kind="chaos",
                 ledger_dedup=False,
                 on_result=collected.append,

@@ -35,18 +35,15 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..metrics.series import LoadSweepSeries
-from ..obs.flight import FlightConfig, FlightRecorder
+from ..obs.flight import Flight, FlightConfig
+from ..obs.probe import Layer
 from ..obs.report import paper_reference
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import build_engine
-from ..traffic.congestion import CongestionConfig, install_congestion
-from ..traffic.transport import (
-    ReliableTransport,
-    TransportConfig,
-    attach_reliability,
-)
+from ..sim.run import Audit, RunPlan, build_engine, run_plan
+from ..traffic.congestion import Congestion, CongestionConfig
+from ..traffic.transport import Transport, TransportConfig, attach_reliability
 from .chaos import default_transport
 from .degradation import _make_config
 from .sweep import run_sweep
@@ -126,63 +123,52 @@ class OverloadSpec:
         return "closed" if self.closed_loop else "open"
 
 
-def _resume_finish(engine, result, overload):
-    """Checkpoint finisher: the post-run work of :func:`run_overload_point`."""
-    from ..obs.flight import _find_transport
+@dataclass(frozen=True)
+class Overload(Layer):
+    """Run layer: the mode document of one overload point, joined to
+    ``telemetry.reliability["overload"]`` (install a transport layer
+    first)."""
 
-    engine.audit()
-    return attach_reliability(
-        result, _find_transport(engine.probe), extra={"overload": overload}
-    )
+    spec: OverloadSpec
+
+    def finish(self, engine, result):
+        doc = {
+            "mode": self.spec.mode,
+            "arbiter": self.spec.arbiter,
+            "saturation": self.spec.saturation,
+            "factor": round(engine.config.load / self.spec.saturation, 6),
+        }
+        return attach_reliability(result, extra={"overload": doc})
+
+
+def overload_config(config: SimulationConfig, spec: OverloadSpec) -> SimulationConfig:
+    """One overload point's config: latency collection forced on (the
+    collapse panel needs p99) and the spec's arbiter, so both knobs are
+    part of the recorded config document."""
+    return dataclasses.replace(config, arbiter=spec.arbiter, collect_latencies=True)
+
+
+def overload_layers(spec: OverloadSpec) -> tuple:
+    """One overload point's layers: an optional flight recorder, the
+    open- or closed-loop transport, the mode document and a post-run
+    engine audit."""
+    recorder = () if spec.flight is None else (Flight(spec.flight),)
+    if spec.closed_loop:
+        transport = Congestion(config=spec.transport, control=spec.control)
+    else:
+        transport = Transport(spec.transport)
+    return recorder + (transport, Overload(spec), Audit())
 
 
 def run_overload_point(
     config: SimulationConfig, spec: OverloadSpec, checkpoint=None
 ) -> RunResult:
-    """Simulate one overload point in one mode.
-
-    Module-level and driven by picklable arguments so the resilient
-    sweep can fan it out over process pools.  Latency collection is
-    forced on (the collapse panel needs p99) and the arbiter comes from
-    the spec, so both knobs are part of the recorded config document.
-
-    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the point resumable; transport/AIMD state rides the snapshot
-    and the audit + overload document are reapplied via the finisher.
-    """
-    config = dataclasses.replace(
-        config, arbiter=spec.arbiter, collect_latencies=True
-    )
-    doc = {
-        "mode": spec.mode,
-        "arbiter": spec.arbiter,
-        "saturation": spec.saturation,
-        "factor": round(config.load / spec.saturation, 6),
-    }
-    if checkpoint is not None:
-        from ..sim.checkpoint import resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-    recorder = FlightRecorder(spec.flight) if spec.flight is not None else None
-    engine = build_engine(config, probe=recorder)
-    if spec.closed_loop:
-        transport = install_congestion(engine, spec.transport, spec.control)
-    else:
-        transport = ReliableTransport(spec.transport).install(engine)
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints
-
-        attach_checkpoints(
-            engine,
-            checkpoint,
-            finisher="repro.experiments.congestion:_resume_finish",
-            finisher_args={"overload": doc},
-        )
-    result = engine.run()
-    engine.audit()
-    return attach_reliability(result, transport, extra={"overload": doc})
+    """Simulate one overload point in one mode (see :func:`overload_config`
+    and :func:`overload_layers`); ``checkpoint`` makes it resumable."""
+    plan = RunPlan(overload_config(config, spec), overload_layers(spec), checkpoint)
+    # built through this module's build_engine, not repro.sim.run's: the
+    # cube-overload benchmark patches it here to time set-up
+    return run_plan(plan, build_engine)
 
 
 @dataclass(frozen=True)
@@ -251,11 +237,12 @@ def congestion_campaign(
 
     One :class:`OverloadSeries` per entry of ``modes`` (False = open
     loop, True = closed loop), each a full offered-load sweep of
-    :func:`run_overload_point` from 0.5× to ``max_factor``× the paper's
-    saturation reference for the swept shape.  Every completed point is
-    appended to ``ledger`` as a ``"congestion"`` record with dedup off
-    (modes intentionally share config digest + seed; the mode document
-    on ``telemetry.reliability`` is what distinguishes them).
+    overload points (:func:`run_overload_point`) from 0.5× to
+    ``max_factor``× the paper's saturation reference for the swept
+    shape.  Every completed point is appended to ``ledger`` as a
+    ``"congestion"`` record with dedup off (modes intentionally share
+    config digest + seed; the mode document on
+    ``telemetry.reliability`` is what distinguishes them).
     ``checkpoints`` (a
     :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
     point checkpointed and resumable; a rerun with the same directory
@@ -278,6 +265,10 @@ def congestion_campaign(
         transport = default_transport(profile)
     if control is None:
         control = DEFAULT_CONTROL
+    make = partial(
+        _make_config, network, vcs=vcs, profile=profile, seed=seed,
+        k=k, n=n, algorithm=algorithm, pattern=pattern,
+    )
     out: list[OverloadSeries] = []
     for closed_loop in modes:
         spec = OverloadSpec(
@@ -291,10 +282,7 @@ def congestion_campaign(
         label = f"{network} congestion {spec.mode}-loop"
         collected: list[RunResult] = []
         series = run_sweep(
-            partial(
-                _make_config, network, vcs=vcs, profile=profile, seed=seed,
-                k=k, n=n, algorithm=algorithm, pattern=pattern,
-            ),
+            lambda load: overload_config(make(load), spec),
             loads,
             label,
             parallel=parallel,
@@ -304,7 +292,7 @@ def congestion_campaign(
             record_failures=record_failures,
             progress=progress,
             ledger=ledger,
-            simulate_fn=partial(run_overload_point, spec=spec),
+            layers=overload_layers(spec),
             ledger_kind="congestion",
             ledger_dedup=False,
             on_result=collected.append,

@@ -70,7 +70,7 @@ from ..metrics.series import FailedPoint, LoadSweepSeries
 from ..sim.checkpoint import CheckpointPolicy, clear_checkpoints, has_resumable
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import simulate
+from ..sim.run import RunPlan, run_plan, simulate
 from .runcache import RunCache
 
 #: in-process memo: cache key -> RunResult
@@ -121,8 +121,8 @@ class CampaignCheckpoints:
     collide).  Each point directory holds the point's periodic
     checkpoints, its manifest, and — once the point finishes — its
     result document as a one-entry :class:`RunCache`, which is what a
-    later ``--resume`` reloads completed points from even for decorated
-    (``simulate_fn``) campaigns where the global cache is bypassed.
+    later ``--resume`` reloads completed points from even for layered
+    campaigns, where the global cache is bypassed.
     """
 
     directory: str
@@ -239,47 +239,14 @@ def _reseeded(config: SimulationConfig, attempt: int) -> SimulationConfig:
     return dataclasses.replace(config, seed=config.seed + _RESEED_STRIDE * attempt)
 
 
-def _simulate_fn(forensics: bool, simulate_fn=None):
-    """The point-simulation callable.
-
-    ``simulate_fn`` (a picklable callable taking a config — a module
-    function or a :func:`functools.partial` of one) overrides
-    everything; otherwise plain :func:`~repro.sim.run.simulate` or its
-    forensics-instrumented twin, resolved by name at call time
-    (module-level functions, so process pools can pickle the task)."""
-    if simulate_fn is not None:
-        return simulate_fn
-    if not forensics:
-        return simulate
-    from ..obs.forensics import simulate_with_forensics
-
-    return simulate_with_forensics
-
-
-def _call_sim(fn, config: SimulationConfig, ckpt) -> RunResult:
-    """Invoke a point-simulation callable, threading the checkpoint
-    policy through only when supervision asked for one (an arbitrary
-    ``simulate_fn`` need not accept the kwarg otherwise)."""
-    if ckpt is None:
-        return fn(config)
-    return fn(config, checkpoint=ckpt)
-
-
-def _watchdog_child(
-    config: SimulationConfig,
-    conn,
-    forensics: bool = False,
-    simulate_fn=None,
-    ckpt=None,
-    heartbeat: float | None = None,
-) -> None:
-    """Subprocess body: simulate and ship the result (or error) back.
+def _watchdog_child(plan: RunPlan, conn, heartbeat: float | None = None) -> None:
+    """Subprocess body: run the plan and ship the result (or error) back.
 
     With ``heartbeat`` set, a daemon thread pulses ``("hb", None)``
     through the pipe so the supervisor can tell a busy worker from a
     dead one; the lock keeps beats and the final payload from
-    interleaving (``Connection.send`` is not thread-safe).  With
-    ``ckpt`` set, SIGUSR1 is routed to the checkpoint probe so the
+    interleaving (``Connection.send`` is not thread-safe).  When the
+    plan checkpoints, SIGUSR1 is routed to the checkpoint probe so the
     supervisor's soft-timeout escalation lands as a checkpoint plus a
     diagnostic snapshot.
     """
@@ -295,12 +262,12 @@ def _watchdog_child(
                     return
 
         threading.Thread(target=_beat, daemon=True, name="sweep-heartbeat").start()
-    if ckpt is not None:
+    if plan.checkpoint is not None:
         from ..sim.checkpoint import install_escalation_handler
 
         install_escalation_handler()
     try:
-        payload = ("ok", _call_sim(_simulate_fn(forensics, simulate_fn), config, ckpt))
+        payload = ("ok", run_plan(plan))
     except Exception as exc:  # noqa: BLE001 - shipped to the parent verbatim
         payload = ("err", exc)
     stop.set()
@@ -315,14 +282,8 @@ def _watchdog_child(
         conn.close()
 
 
-def _simulate_with_timeout(
-    config: SimulationConfig,
-    timeout: float,
-    forensics: bool = False,
-    simulate_fn=None,
-    ckpt=None,
-) -> RunResult:
-    """Run one point under a wall-clock watchdog in a subprocess.
+def _run_with_timeout(plan: RunPlan, timeout: float) -> RunResult:
+    """Run one point's plan under a wall-clock watchdog in a subprocess.
 
     The supervisor polls the worker pipe in short slices, filtering
     heartbeats.  At ``_SOFT_TIMEOUT_FRACTION`` of the budget (with
@@ -337,16 +298,16 @@ def _simulate_with_timeout(
             heartbeat grace) without reporting a result.
     """
     recv, send = multiprocessing.Pipe(duplex=False)
+    config = plan.config
     proc = multiprocessing.Process(
-        target=_watchdog_child,
-        args=(config, send, forensics, simulate_fn, ckpt, _HEARTBEAT_SECONDS),
+        target=_watchdog_child, args=(plan, send, _HEARTBEAT_SECONDS)
     )
     proc.start()
     _ACTIVE_WATCHDOGS.add(proc)
     send.close()
     deadline = time.monotonic() + timeout
     soft_at = None
-    if ckpt is not None and hasattr(signal, "SIGUSR1"):
+    if plan.checkpoint is not None and hasattr(signal, "SIGUSR1"):
         soft_at = time.monotonic() + timeout * _SOFT_TIMEOUT_FRACTION
     last_beat = time.monotonic()
     try:
@@ -397,12 +358,12 @@ def _point_task(
     config: SimulationConfig,
     retries: int = 0,
     timeout: float | None = None,
-    forensics: bool = False,
-    simulate_fn=None,
+    layers: tuple = (),
     checkpoints: CampaignCheckpoints | None = None,
     point_dir: str | None = None,
 ):
-    """Run one point with bounded retry-with-reseed.
+    """Run one point's plan (``config`` + ``layers``) with bounded
+    retry-with-reseed.
 
     Returns ``("ok", result)`` or ``("fail", FailedPoint, last_error)``;
     non-retryable errors propagate.  Top-level so process pools can pickle
@@ -440,13 +401,11 @@ def _point_task(
         ckpt = None
         if checkpoints is not None and point_dir is not None:
             ckpt = checkpoints.policy(point_dir)
+        plan = RunPlan(cfg, layers, ckpt)
         try:
             if timeout is None:
-                return ("ok", _call_sim(_simulate_fn(forensics, simulate_fn), cfg, ckpt))
-            return (
-                "ok",
-                _simulate_with_timeout(cfg, timeout, forensics, simulate_fn, ckpt=ckpt),
-            )
+                return ("ok", run_plan(plan))
+            return ("ok", _run_with_timeout(plan, timeout))
         except _RETRYABLE as exc:
             last = exc
     failure = FailedPoint(
@@ -480,8 +439,7 @@ def _run_parallel(
     retries,
     timeout,
     max_workers,
-    forensics=False,
-    simulate_fn=None,
+    layers=(),
     consume=None,
     checkpoints=None,
     point_dirs=None,
@@ -499,8 +457,7 @@ def _run_parallel(
         _point_task,
         retries=retries,
         timeout=timeout,
-        forensics=forensics,
-        simulate_fn=simulate_fn,
+        layers=layers,
         checkpoints=checkpoints,
     )
     # with a timeout every task already manages its own watchdog
@@ -549,8 +506,7 @@ def run_sweep(
     cache: RunCache | None = None,
     progress: Callable[[PointProgress], None] | None = None,
     ledger=None,
-    forensics: bool = False,
-    simulate_fn=None,
+    layers: tuple = (),
     ledger_kind: str | None = None,
     ledger_dedup: bool = True,
     on_result: Callable[[RunResult], None] | None = None,
@@ -579,22 +535,16 @@ def run_sweep(
             that produced a result (cached hits included) is appended as
             a ``"sweep"`` record, deduplicated by config digest + seed,
             so repeated campaigns accrete one durable results file.
-        forensics: instrument every point with the congestion-forensics
-            tier (:mod:`repro.obs.forensics`); the forensics document
-            rides on each result's telemetry (parallel workers
-            included) and ledger records are filed as ``"forensics"``.
-            Caches are bypassed: a plain cached run has no forensics
-            document, and an instrumented run must not satisfy later
-            uninstrumented campaigns either.
-        simulate_fn: optional picklable callable replacing the
-            point-simulation function entirely (a module-level function
-            or :func:`functools.partial` of one, taking a
-            :class:`SimulationConfig`).  Campaigns that decorate runs
-            with extra machinery (reliable transport, fault storms)
-            plug in here; caches are bypassed for the same reason as
-            with ``forensics``.
+        layers: picklable run layers (:class:`~repro.obs.probe.Layer`)
+            composed onto every point's engine: instrumentation
+            (forensics, flight recorder) or extra machinery (reliable
+            transport, fault storms).  Each point runs as a
+            :class:`~repro.sim.run.RunPlan` of its config and these
+            layers (parallel workers included).  Caches are bypassed:
+            a plain cached run lacks the layers' documents, and a
+            layered run must not satisfy later plain campaigns either.
         ledger_kind: override the kind ledger records are filed under
-            (default ``"sweep"``, or ``"forensics"`` when instrumented).
+            (default ``"sweep"``).
         ledger_dedup: pass ``dedup=False`` for campaigns whose points
             intentionally share a config digest + seed (e.g. a chaos
             grid varying only the storm parameters).
@@ -608,21 +558,19 @@ def run_sweep(
             persist their result there as a one-entry :class:`RunCache`
             and drop their snapshots.  A later campaign passing the same
             directory reloads completed points from those per-point
-            caches (even when ``simulate_fn`` bypasses the global cache)
-            and restarts interrupted points from their newest valid
+            caches (even when ``layers`` bypass the global cache) and
+            restarts interrupted points from their newest valid
             checkpoint.  With a ``timeout``, supervision also enables
             worker heartbeats, the SIGUSR1 soft-timeout escalation and
-            resume-from-checkpoint retries.  When ``simulate_fn`` is
-            set it must accept a ``checkpoint=`` keyword (all the
-            repo's point functions do).
+            resume-from-checkpoint retries.
     """
-    if forensics or simulate_fn is not None:
-        # the memo/disk cache is keyed by recipe alone; instrumented,
-        # decorated and plain runs would collide there (see the docstring)
+    if layers:
+        # the memo/disk cache is keyed by recipe alone; layered and
+        # plain runs would collide there (see the docstring)
         use_cache = False
         cache = None
     _INTERRUPTED.clear()
-    kind = ledger_kind or ("forensics" if forensics else "sweep")
+    kind = ledger_kind or "sweep"
     if not loads:
         raise ConfigurationError("empty load grid")
     if retries < 0:
@@ -681,7 +629,7 @@ def run_sweep(
                 _CACHE[key] = result
         if result is None and checkpoints is not None:
             # the point's own one-entry cache — how --resume reloads
-            # completed points even for decorated (simulate_fn) campaigns
+            # completed points even for layered campaigns
             result = RunCache(checkpoints.point_dir(label, key)).get(key)
         if result is not None:
             series.add(result)
@@ -732,8 +680,7 @@ def run_sweep(
             retries,
             timeout,
             max_workers,
-            forensics=forensics,
-            simulate_fn=simulate_fn,
+            layers=layers,
             consume=consume,
             checkpoints=checkpoints,
             point_dirs=point_dirs,
@@ -755,8 +702,7 @@ def run_sweep(
                     config,
                     retries=retries,
                     timeout=timeout,
-                    forensics=forensics,
-                    simulate_fn=simulate_fn,
+                    layers=layers,
                     checkpoints=checkpoints,
                     point_dir=point_dirs[i] if point_dirs else None,
                 ),

@@ -68,7 +68,15 @@ probe-overhead smoke benchmark CI runs on every push.
 """
 
 from .counters import CounterWindow, DirectionWindow, WindowedCounterProbe
-from .probe import MultiProbe, NullProbe, Probe
+from .probe import (
+    Attach,
+    Layer,
+    MultiProbe,
+    NullProbe,
+    Probe,
+    compose_probe,
+    find_probe,
+)
 from .telemetry import PHASE_NAMES, RunTelemetry, config_digest
 from .trace import EVENT_KINDS, TraceEvent, TraceProbe
 
@@ -110,8 +118,8 @@ _LAZY = {
     "WaitForSample": "forensics",
     "attach_forensics": "forensics",
     "describe_forensics": "forensics",
+    "Forensics": "forensics",
     "run_with_forensics": "forensics",
-    "simulate_with_forensics": "forensics",
     "hotspot_heatmap_svg": "heatmap",
     "latency_breakdown_svg": "heatmap",
     "standalone_svg": "heatmap",
@@ -119,8 +127,8 @@ _LAZY = {
     "FLIGHT_FORMAT_VERSION": "flight",
     "FlightConfig": "flight",
     "FlightRecorder": "flight",
+    "Flight": "flight",
     "describe_flight": "flight",
-    "simulate_with_flight": "flight",
     "format_percentiles": "percentiles",
     "percentile_table": "percentiles",
     "STATEHASH_FORMAT_VERSION": "statehash",
@@ -128,8 +136,8 @@ _LAZY = {
     "StateDigestConfig": "statehash",
     "StateDigestProbe": "statehash",
     "describe_statehash": "statehash",
+    "Statehash": "statehash",
     "engine_fingerprint": "statehash",
-    "simulate_with_statehash": "statehash",
     "state_snapshot": "statehash",
     "DIFF_FORMAT_VERSION": "diff",
     "DIVERGENCE_EXIT_CODE": "diff",
@@ -167,9 +175,13 @@ __all__ = [
     "LEDGER_FORMAT_VERSION",
     "Ledger",
     "ledger_record",
+    "Attach",
+    "Layer",
     "MultiProbe",
     "NullProbe",
     "Probe",
+    "compose_probe",
+    "find_probe",
     "CongestionCurve",
     "PaperRef",
     "ReliabilityCurve",
@@ -193,8 +205,8 @@ __all__ = [
     "WaitForSample",
     "attach_forensics",
     "describe_forensics",
+    "Forensics",
     "run_with_forensics",
-    "simulate_with_forensics",
     "hotspot_heatmap_svg",
     "latency_breakdown_svg",
     "standalone_svg",
@@ -202,8 +214,8 @@ __all__ = [
     "FLIGHT_FORMAT_VERSION",
     "FlightConfig",
     "FlightRecorder",
+    "Flight",
     "describe_flight",
-    "simulate_with_flight",
     "format_percentiles",
     "percentile_table",
     "STATEHASH_FORMAT_VERSION",
@@ -211,8 +223,8 @@ __all__ = [
     "StateDigestConfig",
     "StateDigestProbe",
     "describe_statehash",
+    "Statehash",
     "engine_fingerprint",
-    "simulate_with_statehash",
     "state_snapshot",
     "DIFF_FORMAT_VERSION",
     "DIVERGENCE_EXIT_CODE",

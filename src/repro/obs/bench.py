@@ -35,7 +35,9 @@ import time
 from ..errors import AnalysisError, ConfigurationError
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import cube_config, simulate, tree_config
+from ..sim.run import RunPlan, cube_config, run_plan, simulate, tree_config
+from ..traffic.congestion import Congestion
+from ..traffic.transport import Transport
 from .counters import WindowedCounterProbe
 from .probe import MultiProbe, NullProbe
 from .telemetry import PHASE_NAMES
@@ -118,14 +120,9 @@ def _simulate_spec(probe: str):
     per-destination AIMD windows + hold queues), gating the full
     closed-loop cost.
     """
-    if probe == "reliable":
-        from ..traffic.transport import simulate_reliable
-
-        return simulate_reliable
-    if probe == "congestion":
-        from ..traffic.congestion import simulate_congested
-
-        return simulate_congested
+    if probe in ("reliable", "congestion"):
+        layer = Transport() if probe == "reliable" else Congestion()
+        return lambda config: run_plan(RunPlan(config, (layer,)))
     try:
         factory = PROBE_FACTORIES[probe]
     except KeyError:

@@ -42,8 +42,8 @@ from ..errors import AnalysisError, ConfigurationError, SimulationError
 from .statehash import (
     SUBSYSTEMS,
     StateDigestConfig,
+    Statehash,
     engine_fingerprint,
-    simulate_with_statehash,
     state_snapshot,
 )
 from .telemetry import config_digest
@@ -116,9 +116,10 @@ def _resolve_side(source, label: str, interval: int | None) -> _Side:
         chain = None  # recorded at a different granularity: re-run
     reran = chain is None
     if reran:
-        digest_config = StateDigestConfig(interval_cycles=interval or 128)
-        result = simulate_with_statehash(config, digest_config)
-        chain = result.telemetry.statehash
+        from ..sim.run import RunPlan, run_plan
+
+        layer = Statehash(StateDigestConfig(interval_cycles=interval or 128))
+        chain = run_plan(RunPlan(config, (layer,))).telemetry.statehash
     return _Side(label=label, config=config, chain=chain, reran=reran)
 
 

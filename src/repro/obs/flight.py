@@ -49,7 +49,7 @@ import pathlib
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .probe import Probe
+from .probe import Layer, Probe, compose_probe, find_probe
 
 #: version stamp of the flight document schema
 FLIGHT_FORMAT_VERSION = 1
@@ -121,25 +121,10 @@ class FlightConfig:
             )
 
 
-def _find_transport(probe):
-    """The ReliableTransport inside a probe tree, or None (duck walk
-    through MultiProbe composition, import-cycle free)."""
-    from ..traffic.transport import ReliableTransport
-
-    if isinstance(probe, ReliableTransport):
-        return probe
-    for child in getattr(probe, "probes", ()):
-        found = _find_transport(child)
-        if found is not None:
-            return found
-    return None
-
-
 class FlightRecorder(Probe):
-    """The recorder: attach via ``build_engine(config, probe=...)`` (or
-    compose under a :class:`~repro.obs.probe.MultiProbe`); a transport
-    or congestion loop installed afterwards is discovered automatically
-    at run start.
+    """The recorder: install it with the :class:`Flight` run layer (or
+    attach it as a probe); a transport or congestion loop installed
+    afterwards is discovered automatically at run start.
 
     Args:
         config: recorder tuning; defaults to :class:`FlightConfig`.
@@ -212,7 +197,9 @@ class FlightRecorder(Probe):
         self._dir_labels = labels
 
     def on_run_start(self, engine) -> None:
-        self.transport = _find_transport(engine.probe)
+        from ..traffic.transport import ReliableTransport
+
+        self.transport = find_probe(engine.probe, ReliableTransport)
         self._control = self.transport.congestion if self.transport else None
         self._rows = []
         self._hot = []
@@ -549,25 +536,25 @@ class FlightRecorder(Probe):
         }
 
 
-def simulate_with_flight(
-    config,
-    flight: FlightConfig | None = None,
-    on_sample=None,
-    events=None,
-    checkpoint=None,
-):
-    """``simulate(config)`` with a flight recorder attached.
+@dataclass(frozen=True)
+class Flight(Layer):
+    """Run layer: a flight recorder; its document lands on
+    ``result.telemetry.flight``.
 
-    Module-level and driven by picklable arguments so the resilient
-    sweep harness can fan it out over process pools (``on_sample`` and
-    ``events`` are for in-process use, and are incompatible with
-    ``checkpoint`` — a live stream cannot ride inside a snapshot).  The
-    flight document lands on ``result.telemetry.flight``.
+    ``on_sample`` and ``events`` are for in-process use, and are
+    incompatible with checkpointing (a live stream cannot ride inside a
+    snapshot).
     """
-    from ..sim.run import simulate
 
-    recorder = FlightRecorder(flight, on_sample=on_sample, events=events)
-    return simulate(config, probe=recorder, checkpoint=checkpoint)
+    config: FlightConfig | None = None
+    on_sample: object = None
+    events: object = None
+
+    def install(self, engine) -> None:
+        recorder = FlightRecorder(
+            self.config, on_sample=self.on_sample, events=self.events
+        )
+        compose_probe(engine, recorder)
 
 
 def describe_flight(doc: dict) -> str:

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 from ..sim.diagnostics import DeadlockSnapshot, capture_snapshot
 from ..sim.packet import FAULT_SENTINEL
-from .probe import MultiProbe, Probe
+from .probe import Attach, Layer, MultiProbe, Probe, compose_probe
 
 #: bump on breaking changes to the forensics document layout
 FORENSICS_FORMAT_VERSION = 1
@@ -634,8 +634,9 @@ class ForensicsProbe(MultiProbe):
     Composes :class:`LatencyAttributionProbe` (:attr:`attribution`),
     :class:`WaitForGraphSampler` (:attr:`waitfor`) and
     :class:`HotspotProbe` (:attr:`hotspots`); :meth:`summary` serializes
-    all three into the versioned forensics document that rides on
-    :class:`~repro.obs.telemetry.RunTelemetry`.
+    all three into the versioned forensics document, attached to
+    :class:`~repro.obs.telemetry.RunTelemetry` at run end (a deadlocked
+    run's partial result included).
     """
 
     def __init__(
@@ -650,6 +651,10 @@ class ForensicsProbe(MultiProbe):
         self.waitfor = WaitForGraphSampler(sample_every=sample_every)
         self.hotspots = HotspotProbe()
         super().__init__([self.attribution, self.waitfor, self.hotspots])
+
+    def on_run_end(self, engine) -> None:
+        super().on_run_end(engine)
+        attach_forensics(engine.result, self)
 
     def summary(self) -> dict:
         return {
@@ -742,51 +747,16 @@ def attach_forensics(result, probe: ForensicsProbe):
     return result
 
 
-def _find_forensics(probe):
-    """The ForensicsProbe inside a probe tree, or None."""
-    if isinstance(probe, ForensicsProbe):
-        return probe
-    for child in getattr(probe, "probes", ()):
-        found = _find_forensics(child)
-        if found is not None:
-            return found
-    return None
+@dataclass(frozen=True)
+class Forensics(Layer):
+    """Run layer: the forensics tier; its document lands on the result's
+    telemetry, so it survives pickling (parallel sweep workers), the run
+    JSON document and the ledger."""
 
+    sample_every: int = 200
 
-def _resume_finish(engine, result):
-    """Checkpoint finisher: reattach the restored probe's document."""
-    return attach_forensics(result, _find_forensics(engine.probe))
-
-
-def simulate_with_forensics(config, sample_every: int = 200, checkpoint=None):
-    """``simulate(config)`` with the forensics tier attached.
-
-    The forensics document lands on the result's telemetry, so it
-    survives pickling (parallel sweep workers), the run JSON document
-    and the ledger.  Raises :class:`~repro.errors.DeadlockError` exactly
-    like :func:`~repro.sim.run.simulate` — campaign resilience handling
-    stays unchanged.  ``checkpoint`` makes the run resumable; the
-    forensics document is then rebuilt from the *restored* probe.
-    """
-    from ..sim.run import build_engine, simulate
-
-    if checkpoint is None:
-        probe = ForensicsProbe(sample_every=sample_every)
-        result = simulate(config, probe=probe)
-        return attach_forensics(result, probe)
-
-    from ..sim.checkpoint import attach_checkpoints, resume_point
-
-    resumed = resume_point(checkpoint, config)
-    if resumed is not None:
-        return resumed
-    probe = ForensicsProbe(sample_every=sample_every)
-    engine = build_engine(config, probe=probe)
-    attach_checkpoints(
-        engine, checkpoint, finisher="repro.obs.forensics:_resume_finish"
-    )
-    result = engine.run()
-    return attach_forensics(result, probe)
+    def install(self, engine) -> None:
+        compose_probe(engine, ForensicsProbe(sample_every=self.sample_every))
 
 
 def run_with_forensics(
@@ -805,16 +775,11 @@ def run_with_forensics(
     :class:`ForensicsProbe`.
     """
     from ..errors import DeadlockError
-    from ..sim.run import build_engine
+    from ..sim.run import RunPlan, run_plan
 
     forensics = ForensicsProbe(sample_every=sample_every, keep_packets=keep_packets)
-    attach = forensics if probe is None else MultiProbe([forensics, probe])
-    engine = build_engine(config, probe=attach)
-    deadlock = None
+    layers = (Attach(forensics),) + (() if probe is None else (Attach(probe),))
     try:
-        result = engine.run()
+        return run_plan(RunPlan(config, layers)), forensics, None
     except DeadlockError as exc:
-        deadlock = exc
-        result = engine.result
-    attach_forensics(result, forensics)
-    return result, forensics, deadlock
+        return exc.result, forensics, exc

@@ -36,9 +36,15 @@ callback               fires when
 ``on_cycle``              the cycle's three phases all completed
 ``on_run_start/end``      bracketing ``Engine.run`` / ``run_until_drained``
 =====================  =========================================================
+
+A :class:`Layer` is the unit a :class:`~repro.sim.run.RunPlan` composes:
+``install(engine)`` before the first cycle (usually composing a probe
+via :func:`compose_probe`), ``finish(engine, result)`` after the last.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class Probe:
@@ -110,7 +116,8 @@ class MultiProbe(Probe):
     """Fan one engine's events out to several probes, in order.
 
     Used by the CLI ``trace`` subcommand to run the event trace and the
-    windowed counters in a single simulation.
+    windowed counters in a single simulation, and by
+    :func:`compose_probe` to stack run layers.
     """
 
     def __init__(self, probes):
@@ -163,3 +170,58 @@ class MultiProbe(Probe):
     def on_cycle(self, cycle: int) -> None:
         for p in self.probes:
             p.on_cycle(cycle)
+
+
+def find_probe(tree, cls):
+    """The first ``cls`` instance in a probe tree (depth first through
+    :class:`MultiProbe` composition), or ``None``."""
+    if isinstance(tree, cls):
+        return tree
+    for child in getattr(tree, "probes", ()):
+        found = find_probe(child, cls)
+        if found is not None:
+            return found
+    return None
+
+
+def compose_probe(engine, probe):
+    """Attach ``probe`` to ``engine`` after whatever probe it already has.
+
+    The existing probe tree is already bound, so only ``probe`` is
+    bound.  Returns ``probe``.
+    """
+    if engine.probe is None:
+        engine.attach_probe(probe)
+    else:
+        engine.probe = MultiProbe([engine.probe, probe])
+        probe.bind(engine)
+    return probe
+
+
+class Layer:
+    """One composable piece of a run plan; the null layer.
+
+    Layers are picklable recipes (frozen dataclasses in practice): all
+    per-run state lives on the engine they install onto, so one layer
+    serves every point of a sweep, and the copy that rides inside a
+    checkpoint finishes the restored run.
+    """
+
+    def install(self, engine) -> None:
+        """Wire into a freshly built ``engine`` before its first cycle."""
+
+    def finish(self, engine, result):
+        """Post-run work on the completed (or restored) ``engine``;
+        returns the result."""
+        return result
+
+
+@dataclass(frozen=True)
+class Attach(Layer):
+    """Compose one ready-made probe (single use: a probe binds to one
+    engine)."""
+
+    probe: Probe
+
+    def install(self, engine) -> None:
+        compose_probe(engine, self.probe)

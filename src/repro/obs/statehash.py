@@ -35,8 +35,9 @@ backend can replay a chain entry-for-entry.
 
 Example::
 
-    from repro.obs.statehash import simulate_with_statehash
-    result = simulate_with_statehash(config)
+    from repro.obs.statehash import Statehash
+    from repro.sim.run import RunPlan, run_plan
+    result = run_plan(RunPlan(config, (Statehash(),)))
     print(result.telemetry.statehash["chain_head"])
 """
 
@@ -49,8 +50,8 @@ import struct
 from array import array
 
 from ..errors import ConfigurationError
-from .flight import _find_transport
-from .probe import MultiProbe, Probe
+from ..traffic.transport import ReliableTransport
+from .probe import Layer, Probe, compose_probe, find_probe
 from .telemetry import config_digest
 
 #: bump on breaking changes to the digest document layout
@@ -363,7 +364,7 @@ def _transport_ints(engine, tp) -> list[int]:
 
 
 def _transport_hex(engine) -> str:
-    tp = _find_transport(engine.probe)
+    tp = find_probe(engine.probe, ReliableTransport)
     if tp is None:
         return _hex(b"")
     return _hex(_ints(_transport_ints(engine, tp)))
@@ -375,7 +376,7 @@ def _rng_hex(engine) -> str:
         src = node.source
         inner = getattr(src, "inner", src)
         parts.append(_rng_digest(getattr(inner, "rng", None)))
-    tp = _find_transport(engine.probe)
+    tp = find_probe(engine.probe, ReliableTransport)
     parts.append(b"no-transport" if tp is None else _rng_digest(tp._rng))
     return _hex(b"".join(parts))
 
@@ -518,7 +519,7 @@ def state_snapshot(engine) -> dict:
             },
             "source": source_doc,
         }
-    tp = _find_transport(engine.probe)
+    tp = find_probe(engine.probe, ReliableTransport)
     transport = None if tp is None else _transport_snapshot(engine, tp)
     rng = {
         "sources": {
@@ -760,22 +761,16 @@ class StateDigestProbe(Probe):
 # -- conveniences --------------------------------------------------------------
 
 
-def simulate_with_statehash(
-    config, statehash: StateDigestConfig | None = None, probe=None, checkpoint=None
-):
-    """One run with the digest chain on ``result.telemetry.statehash``.
+@dataclasses.dataclass(frozen=True)
+class Statehash(Layer):
+    """Run layer: the digest chain on ``result.telemetry.statehash``.
+    Under a checkpoint it doubles as the restore verifier: a resumed
+    run's chain is byte-identical to an uninterrupted one's."""
 
-    ``probe`` composes an additional observer alongside the digest probe
-    (via :class:`~repro.obs.probe.MultiProbe`).  Module-level and
-    picklable, so campaign pools can ship it to workers.  With
-    ``checkpoint`` the digest chain doubles as the restore verifier: a
-    resumed run's chain is byte-identical to an uninterrupted one's.
-    """
-    from ..sim.run import simulate
+    config: StateDigestConfig | None = None
 
-    digests = StateDigestProbe(statehash or StateDigestConfig())
-    composed = digests if probe is None else MultiProbe([digests, probe])
-    return simulate(config, probe=composed, checkpoint=checkpoint)
+    def install(self, engine) -> None:
+        compose_probe(engine, StateDigestProbe(self.config))
 
 
 def describe_statehash(doc: dict) -> str:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -54,13 +53,15 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from ..errors import CheckpointError, ConfigurationError
-from ..obs.probe import MultiProbe, Probe
+from ..obs.probe import Probe, compose_probe, find_probe
 from ..obs.telemetry import config_digest
 
 #: bump on breaking changes to the header schema or pickle envelope
 #: (2: lane counters and crossbar bindings live in the engine's
-#: LaneArrays, so version-1 engine pickles no longer restore)
-CHECKPOINT_FORMAT_VERSION = 2
+#: LaneArrays, so version-1 engine pickles no longer restore; 3: the
+#: checkpoint probe carries the run plan's layers, which a version-2
+#: snapshot lacks, so its resume would skip the post-run work)
+CHECKPOINT_FORMAT_VERSION = 3
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
@@ -390,13 +391,13 @@ class CheckpointConfig:
 
 @dataclasses.dataclass(frozen=True)
 class CheckpointPolicy:
-    """A picklable checkpoint request threaded through entry points.
+    """A picklable checkpoint request, one field of a run plan.
 
     ``simulate(config, checkpoint=CheckpointPolicy("ckpts/"))`` first
     tries to resume from the newest valid checkpoint in ``directory``
     (unless ``resume`` is off), then runs with a
-    :class:`CheckpointProbe` composed onto whatever probe the caller
-    supplied.  Picklable so campaign pools ship it to worker processes.
+    :class:`CheckpointProbe` composed after the plan's layers.
+    Picklable so campaign pools ship it to worker processes.
     """
 
     directory: str
@@ -426,19 +427,15 @@ class CheckpointProbe(Probe):
     extra checkpoint plus a diagnostic snapshot at the next cycle
     boundary, where the state is consistent again.
 
-    ``finisher`` names a module-level function as ``"module:attr"``;
-    after a resumed run completes, :func:`resume_point` calls
-    ``finisher(engine, result, **finisher_args)`` to reapply the
-    post-run work the original entry point would have done (audits,
-    reliability documents).  A dotted path rather than a callable keeps
-    the probe — and therefore the checkpoint itself — picklable.
+    ``layers`` are the run plan's layers.  They ride inside every
+    snapshot, so a resumed run finishes on the *restored* layers
+    (audits, reliability documents) exactly as the original would have.
     """
 
-    def __init__(self, directory, config=None, finisher=None, finisher_args=None):
+    def __init__(self, directory, config=None, layers=()):
         self.directory = str(directory)
         self.config = config or CheckpointConfig()
-        self.finisher = finisher
-        self.finisher_args = dict(finisher_args or {})
+        self.layers = tuple(layers)
         self.engine = None
         self.taken = 0
         self.escalations = 0
@@ -543,59 +540,25 @@ class CheckpointProbe(Probe):
         _update_manifest(directory, mutate)
 
 
-def find_checkpoint_probe(probe):
-    """The :class:`CheckpointProbe` inside a probe tree, or ``None``."""
-    if isinstance(probe, CheckpointProbe):
-        return probe
-    for child in getattr(probe, "probes", ()):
-        found = find_checkpoint_probe(child)
-        if found is not None:
-            return found
-    return None
-
-
-def attach_checkpoints(engine, policy, finisher=None, finisher_args=None):
-    """Compose a :class:`CheckpointProbe` onto ``engine`` per ``policy``."""
-    probe = CheckpointProbe(
-        policy.directory,
-        policy.config,
-        finisher=finisher,
-        finisher_args=finisher_args,
+def attach_checkpoints(engine, policy, layers=()):
+    """Compose a :class:`CheckpointProbe` carrying ``layers`` onto
+    ``engine`` per ``policy``."""
+    return compose_probe(
+        engine, CheckpointProbe(policy.directory, policy.config, layers)
     )
-    if engine.probe is None:
-        engine.attach_probe(probe)
-    else:
-        # the existing probe tree is already bound; bind only ourselves
-        engine.probe = MultiProbe([engine.probe, probe])
-        probe.bind(engine)
-    return probe
 
 
 # -- resume --------------------------------------------------------------------
 
 
-def _resolve_finisher(spec: str):
-    module_name, sep, attr = spec.partition(":")
-    if not sep or not module_name or not attr:
-        raise CheckpointError(
-            f"finisher {spec!r} is not a 'module:function' dotted path"
-        )
-    try:
-        return getattr(importlib.import_module(module_name), attr)
-    except (ImportError, AttributeError) as exc:
-        raise CheckpointError(
-            f"cannot resolve checkpoint finisher {spec!r}: {exc}"
-        ) from exc
-
-
 def resume_point(policy, config):
-    """Finish an interrupted run from its newest valid checkpoint.
+    """Restore an interrupted run from its newest valid checkpoint.
 
-    Returns the completed :class:`~repro.sim.results.RunResult`, or
-    ``None`` when no trustworthy checkpoint for ``config`` exists (the
-    caller then runs from scratch).  The resumed run's document is
-    byte-identical to an uninterrupted run's, wall-clock telemetry
-    aside — the statehash chain, when active, proves it.
+    Returns ``(engine, layers)`` — the restored engine, ready for
+    :meth:`~repro.sim.engine.Engine.resume_run`, and the plan layers
+    that rode inside the snapshot — or ``None`` when no trustworthy
+    checkpoint for ``config`` exists (the caller then runs from
+    scratch).
     """
     if policy is None or not policy.resume:
         return None
@@ -603,14 +566,11 @@ def resume_point(policy, config):
     if loaded is None:
         return None
     engine, _header = loaded
-    probe = find_checkpoint_probe(engine.probe)
-    if probe is not None:
-        probe.resumed(engine, directory=policy.directory)
-    result = engine.resume_run()
-    if probe is not None and probe.finisher:
-        fn = _resolve_finisher(probe.finisher)
-        result = fn(engine, result, **probe.finisher_args)
-    return result
+    probe = find_probe(engine.probe, CheckpointProbe)
+    if probe is None:
+        return engine, ()
+    probe.resumed(engine, directory=policy.directory)
+    return engine, probe.layers
 
 
 # -- supervision signal plumbing -----------------------------------------------

@@ -787,9 +787,12 @@ class Engine:
                 )
 
     def _deadlock(self, message: str) -> DeadlockError:
-        """Build a DeadlockError carrying a diagnostic network snapshot."""
+        """Build a DeadlockError carrying a diagnostic network snapshot
+        and the run's partial result (raised after ``_finish_run``)."""
         snapshot = capture_snapshot(self)
-        return DeadlockError(f"{message}\n{snapshot.describe()}", snapshot=snapshot)
+        exc = DeadlockError(f"{message}\n{snapshot.describe()}", snapshot=snapshot)
+        exc.result = self.result
+        return exc
 
     def in_flight_packets(self) -> int:
         """Packets injected but neither delivered nor dropped."""

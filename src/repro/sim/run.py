@@ -1,21 +1,29 @@
-"""High-level simulation entry points.
+"""High-level simulation entry points: the one run pipeline.
 
-:func:`simulate` turns a :class:`~repro.sim.config.SimulationConfig` into a
-:class:`~repro.sim.results.RunResult`; :func:`tree_config` and
-:func:`cube_config` build paper-faithful configurations (flit widths,
-capacities and packet sizes from the §5 normalization) with one call.
+A :class:`RunPlan` is one experiment: a
+:class:`~repro.sim.config.SimulationConfig`, the layers composed onto
+the engine (transport, congestion loop, fault storm, flight recorder,
+state digests, forensics, audit — see :class:`~repro.obs.probe.Layer`)
+and an optional checkpoint policy.  :func:`run_plan` is the only place
+a run is built, checkpointed, resumed and finished; :func:`simulate` is
+the plain-config shorthand.  :func:`tree_config` and :func:`cube_config`
+build paper-faithful configurations (flit widths, capacities and packet
+sizes from the §5 normalization) with one call.
 
 Example::
 
-    from repro.sim import simulate
-    from repro.sim.run import tree_config
+    from repro.obs.flight import Flight
+    from repro.sim.run import RunPlan, run_plan, tree_config
 
-    result = simulate(tree_config(vcs=4, pattern="uniform", load=0.5))
-    print(result.accepted_fraction, result.avg_latency_cycles)
+    result = run_plan(RunPlan(tree_config(vcs=4, load=0.5), (Flight(),)))
+    print(result.accepted_fraction, result.telemetry.flight["rows"])
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from ..obs.probe import Attach, Layer
 from ..routing.base import make_routing
 from ..timing.normalization import cube_scaling, tree_scaling
 from ..topology.cube import KAryNCube
@@ -53,29 +61,75 @@ def build_engine(config: SimulationConfig, probe=None) -> Engine:
     return engine
 
 
-def simulate(config: SimulationConfig, probe=None, checkpoint=None) -> RunResult:
-    """Run one simulation to completion and return its measurements.
+@dataclass(frozen=True)
+class Audit(Layer):
+    """Verify the engine's global invariants after the run, so a layer
+    that corrupted the network fails loudly instead of skewing a curve."""
 
-    An optional ``probe`` (:mod:`repro.obs`) instruments the run; the
-    returned result always carries :class:`~repro.obs.telemetry.RunTelemetry`.
+    def finish(self, engine, result):
+        engine.audit()
+        return result
 
-    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the run resumable: a valid checkpoint in the policy's
-    directory finishes the interrupted run (byte-identical document,
-    wall-clock aside); otherwise the run starts fresh with a
-    :class:`~repro.sim.checkpoint.CheckpointProbe` composed onto
-    ``probe``.
+
+@dataclass(frozen=True)
+class RunPlan:
+    """One run: a config, the layers composed onto its engine (installed
+    in order, which fixes probe dispatch order and so the digests) and
+    an optional :class:`~repro.sim.checkpoint.CheckpointPolicy`.
+
+    Picklable whenever its layers are, so campaign pools ship plans to
+    worker processes.
     """
-    if checkpoint is not None:
-        from .checkpoint import attach_checkpoints, resume_point
 
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-        engine = build_engine(config, probe=probe)
-        attach_checkpoints(engine, checkpoint)
-        return engine.run()
-    return build_engine(config, probe=probe).run()
+    config: SimulationConfig
+    layers: tuple = ()
+    checkpoint: object = None
+
+
+def run_plan(plan: RunPlan, build=None) -> RunResult:
+    """Run ``plan`` to completion and return its measurements.
+
+    With a checkpoint policy, a valid checkpoint in its directory
+    finishes the interrupted run on the layers restored from the
+    snapshot (byte-identical document, wall-clock aside).  Otherwise:
+    build the engine, install each layer, attach checkpoints, run, and
+    call each layer's ``finish``.  ``build`` replaces this module's
+    :func:`build_engine`, which is looked up at call time.
+
+    Raises:
+        DeadlockError: as :meth:`Engine.run` does; its ``result`` is the
+            partial result (layers not finished).
+    """
+    layers = plan.layers
+    restored = None
+    if plan.checkpoint is not None:
+        from .checkpoint import resume_point
+
+        restored = resume_point(plan.checkpoint, plan.config)
+    if restored is not None:
+        engine, layers = restored
+        result = engine.resume_run()
+    else:
+        engine = (build or build_engine)(plan.config)
+        for layer in layers:
+            layer.install(engine)
+        if plan.checkpoint is not None:
+            from .checkpoint import attach_checkpoints
+
+            attach_checkpoints(engine, plan.checkpoint, layers)
+        result = engine.run()
+    for layer in layers:
+        result = layer.finish(engine, result)
+    return result
+
+
+def simulate(config: SimulationConfig, probe=None, checkpoint=None) -> RunResult:
+    """Run one plain simulation, optionally instrumented by ``probe``
+    (:mod:`repro.obs`) and made resumable by ``checkpoint``; see
+    :func:`run_plan`.  The result always carries
+    :class:`~repro.obs.telemetry.RunTelemetry`."""
+    layers = () if probe is None else (Attach(probe),)
+    return run_plan(RunPlan(config, layers, checkpoint))
 
 
 def tree_config(

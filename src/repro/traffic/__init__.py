@@ -26,9 +26,9 @@ from .generator import BernoulliInjector, PacketSource
 from .transport import (
     ReliableSource,
     ReliableTransport,
+    Transport,
     TransportConfig,
     attach_reliability,
-    simulate_reliable,
 )
 from .patterns import (
     PATTERNS,
@@ -57,9 +57,9 @@ __all__ = [
     "PacketSource",
     "ReliableSource",
     "ReliableTransport",
+    "Transport",
     "TransportConfig",
     "attach_reliability",
-    "simulate_reliable",
     "PATTERNS",
     "BitComplementPattern",
     "BitReversalPattern",

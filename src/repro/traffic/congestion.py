@@ -38,8 +38,8 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..obs.probe import MultiProbe, Probe
-from .transport import ReliableTransport, TransportConfig, attach_reliability
+from ..obs.probe import Probe, compose_probe
+from .transport import ReliableTransport, Transport, TransportConfig
 
 
 @dataclass(frozen=True)
@@ -386,48 +386,17 @@ def install_congestion(
     Returns the transport, whose summary carries the loop statistics.
     """
     config = congestion_config or CongestionConfig()
-    marker = CongestionMarker(config)
-    if engine.probe is None:
-        engine.attach_probe(marker)
-    else:
-        engine.probe = MultiProbe([engine.probe, marker])
-        marker.bind(engine)
+    marker = compose_probe(engine, CongestionMarker(config))
     control = CongestionControl(config, marker)
     return ReliableTransport(transport_config, congestion=control).install(engine)
 
 
-def simulate_congested(
-    config,
-    transport_config: TransportConfig | None = None,
-    congestion_config: CongestionConfig | None = None,
-    probe=None,
-    checkpoint=None,
-):
-    """``simulate(config)`` with the closed congestion loop installed.
+@dataclass(frozen=True)
+class Congestion(Transport):
+    """Run layer: the closed congestion loop (:func:`install_congestion`);
+    the loop statistics land on ``telemetry.reliability["congestion"]``."""
 
-    The transport + control-loop accounting lands on the result's
-    telemetry (``reliability["congestion"]``), so scorecards and the
-    ledger can tell closed-loop runs from open-loop ones.
-    ``checkpoint`` makes the run resumable — marker windows, AIMD state
-    and hold queues ride inside the snapshot.
-    """
-    from ..sim.run import build_engine
+    control: CongestionConfig | None = None
 
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints, resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-        engine = build_engine(config, probe=probe)
-        transport = install_congestion(engine, transport_config, congestion_config)
-        attach_checkpoints(
-            engine, checkpoint, finisher="repro.traffic.transport:_resume_finish"
-        )
-        result = engine.run()
-        return attach_reliability(result, transport)
-
-    engine = build_engine(config, probe=probe)
-    transport = install_congestion(engine, transport_config, congestion_config)
-    result = engine.run()
-    return attach_reliability(result, transport)
+    def install(self, engine) -> None:
+        install_congestion(engine, self.config, self.control)

@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..obs.probe import MultiProbe, Probe
+from ..obs.probe import Layer, Probe, compose_probe, find_probe
 
 
 @dataclass(frozen=True)
@@ -247,11 +247,9 @@ class ReliableTransport(Probe):
     # -- wiring ---------------------------------------------------------------
 
     def install(self, engine) -> "ReliableTransport":
-        """Wrap every node source of ``engine`` and attach as a probe.
-
-        Composes with an already-attached probe through
-        :class:`~repro.obs.probe.MultiProbe` without re-binding it.
-        Returns ``self`` so construction chains.
+        """Wrap every node source of ``engine`` and compose as a probe
+        (:func:`~repro.obs.probe.compose_probe`).  Returns ``self`` so
+        construction chains.
         """
         import random
 
@@ -264,13 +262,7 @@ class ReliableTransport(Probe):
                     f"node {node.nid} already has a reliable source"
                 )
             node.source = ReliableSource(node.source, self)
-        if engine.probe is None:
-            engine.attach_probe(self)
-        else:
-            # the existing probe is already bound; bind only ourselves
-            engine.probe = MultiProbe([engine.probe, self])
-            self.bind(engine)
-        return self
+        return compose_probe(engine, self)
 
     def bind(self, engine) -> None:
         self.engine = engine
@@ -531,60 +523,32 @@ class ReliableTransport(Probe):
         return doc
 
 
-def attach_reliability(result, transport: ReliableTransport, extra: dict | None = None):
-    """Fold ``transport``'s accounting document into ``result.telemetry``.
+def attach_reliability(result, transport=None, extra: dict | None = None):
+    """Merge ``transport``'s accounting document and ``extra`` entries
+    (e.g. a chaos campaign's storm recipe) into
+    ``result.telemetry.reliability``.
 
-    ``extra`` entries (e.g. a chaos campaign's storm recipe) are merged
-    into the document.  Returns the result; a result with no telemetry
-    is returned unchanged (telemetry is frozen, so it is replaced).
+    Returns the result; a result with no telemetry is returned unchanged
+    (telemetry is frozen, so it is replaced).
     """
     if result.telemetry is not None:
-        doc = transport.summary()
-        if extra:
-            doc.update(extra)
+        doc = dict(result.telemetry.reliability or {})
+        if transport is not None:
+            doc.update(transport.summary())
+        doc.update(extra or {})
         result.telemetry = dataclasses.replace(result.telemetry, reliability=doc)
     return result
 
 
-def _resume_finish(engine, result, extra=None):
-    """Checkpoint finisher: fold the restored transport's accounting in."""
-    from ..obs.flight import _find_transport
+@dataclass(frozen=True)
+class Transport(Layer):
+    """Run layer: the reliable transport on every source; its accounting
+    lands on ``telemetry.reliability``."""
 
-    return attach_reliability(result, _find_transport(engine.probe), extra=extra)
+    config: TransportConfig | None = None
 
+    def install(self, engine) -> None:
+        ReliableTransport(self.config).install(engine)
 
-def simulate_reliable(
-    config,
-    transport_config: TransportConfig | None = None,
-    probe=None,
-    checkpoint=None,
-):
-    """``simulate(config)`` with the reliable transport installed.
-
-    The transport accounting lands on the result's telemetry, so it
-    survives pickling (parallel sweep workers), the run JSON document
-    and the ledger.  ``probe`` composes with the transport through
-    :class:`~repro.obs.probe.MultiProbe`.  ``checkpoint`` makes the run
-    resumable — the transport (timer wheel, windows, RNG) rides inside
-    the snapshot like everything else.
-    """
-    from ..sim.run import build_engine
-
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints, resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-        engine = build_engine(config, probe=probe)
-        transport = ReliableTransport(transport_config).install(engine)
-        attach_checkpoints(
-            engine, checkpoint, finisher="repro.traffic.transport:_resume_finish"
-        )
-        result = engine.run()
-        return attach_reliability(result, transport)
-
-    engine = build_engine(config, probe=probe)
-    transport = ReliableTransport(transport_config).install(engine)
-    result = engine.run()
-    return attach_reliability(result, transport)
+    def finish(self, engine, result):
+        return attach_reliability(result, find_probe(engine.probe, ReliableTransport))

@@ -8,6 +8,7 @@ structured discard findings instead of being trusted, and campaign
 supervision resumes interrupted points from their newest valid
 checkpoint with the *original* seed."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -19,8 +20,12 @@ from functools import partial
 import pytest
 
 from repro.errors import CheckpointError, PointTimeoutError, WorkerDiedError
-from repro.experiments.chaos import StormSpec, run_chaos_point
-from repro.experiments.congestion import OverloadSpec, run_overload_point
+from repro.experiments.chaos import Storm, StormSpec, chaos_layers
+from repro.experiments.congestion import (
+    OverloadSpec,
+    overload_config,
+    overload_layers,
+)
 from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import (
     CampaignCheckpoints,
@@ -28,14 +33,17 @@ from repro.experiments.sweep import (
     _point_task,
     run_sweep,
 )
-from repro.obs.flight import FlightConfig, FlightRecorder, simulate_with_flight
-from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder
+from repro.obs.forensics import Forensics
+from repro.obs.probe import Layer, find_probe
+from repro.obs.statehash import StateDigestConfig, Statehash
 from repro.sim.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointPolicy,
+    CheckpointProbe,
     attach_checkpoints,
     checkpoint_files,
     clear_checkpoints,
-    find_checkpoint_probe,
     has_resumable,
     install_escalation_handler,
     load_checkpoint,
@@ -45,9 +53,9 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import build_engine, cube_config, simulate
-from repro.traffic.congestion import CongestionConfig, simulate_congested
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.sim.run import Audit, RunPlan, build_engine, cube_config, run_plan, simulate
+from repro.traffic.congestion import Congestion, CongestionConfig
+from repro.traffic.transport import Transport, TransportConfig
 
 from .conftest import small_tree_config
 from .test_determinism import _canonical
@@ -131,6 +139,67 @@ class TestCheckpointFile:
         assert discarded[0]["file"] == bad.name
 
 
+# -- plans resumed by TestResumeIdentity ---------------------------------------
+
+
+def _tree_plan(*layers, interval=250, **overrides):
+    return RunPlan(_build(dict(network="tree", vcs=2), **overrides), layers), interval
+
+
+def _small_plan(*layers, load):
+    return RunPlan(small_tree_config(load=load), layers), 200
+
+
+_OVERLOAD = OverloadSpec(
+    closed_loop=True,
+    saturation=0.4,
+    arbiter="age",
+    transport=TransportConfig(base_timeout=32, jitter=4),
+    control=CongestionConfig(window_cycles=32),
+)
+
+#: every layer, alone and stacked: resuming from a mid-run snapshot must
+#: reproduce the uninterrupted run byte for byte
+_RESUME_PLANS = {
+    "statehash": lambda: _tree_plan(
+        Statehash(StateDigestConfig(interval_cycles=100))
+    ),
+    "flight": lambda: _tree_plan(Flight(FlightConfig(interval_cycles=64))),
+    "reliable-transport": lambda: _small_plan(
+        Transport(TransportConfig(base_timeout=16, jitter=8, seed=3)), load=0.6
+    ),
+    "closed-congestion-loop": lambda: _small_plan(
+        Congestion(
+            config=TransportConfig(base_timeout=32, jitter=8, seed=3),
+            control=CongestionConfig(window_cycles=32, hot_fraction=0.3),
+        ),
+        load=0.8,
+    ),
+    "chaos-storm": lambda: _tree_plan(
+        *chaos_layers(StormSpec(fault_rate=0.2, storm_seed=9)), interval=200, load=0.6
+    ),
+    "overload-point": lambda: (
+        RunPlan(
+            overload_config(small_tree_config(load=0.6), _OVERLOAD),
+            overload_layers(_OVERLOAD),
+        ),
+        200,
+    ),
+    "stacked": lambda: _small_plan(
+        Congestion(
+            config=TransportConfig(base_timeout=32, jitter=8, seed=3),
+            control=CongestionConfig(window_cycles=32, hot_fraction=0.3),
+        ),
+        Storm(StormSpec(fault_rate=0.2, storm_seed=9)),
+        Flight(FlightConfig(interval_cycles=64)),
+        Statehash(StateDigestConfig(interval_cycles=100)),
+        Forensics(),
+        Audit(),
+        load=0.8,
+    ),
+}
+
+
 # -- resume identity -----------------------------------------------------------
 
 
@@ -185,70 +254,19 @@ class TestResumeIdentity:
         assert [h["cycle"] for h in _headers(tmp_path)] == [1200]
         assert _canonical(simulate(config, checkpoint=policy)) == reference
 
-    def test_statehash_chain_identical_across_resume(self, tmp_path):
-        config = _build(dict(network="tree", vcs=2))
-        digests = StateDigestConfig(interval_cycles=100)
-        reference = simulate_with_statehash(config, digests)
-        policy = _policy(tmp_path)
-        simulate_with_statehash(config, digests, checkpoint=policy)
-        resumed = simulate_with_statehash(config, digests, checkpoint=policy)
-        assert (
-            resumed.telemetry.statehash["chain"]
-            == reference.telemetry.statehash["chain"]
-        )
+    @pytest.mark.parametrize("case", sorted(_RESUME_PLANS))
+    def test_plan_resumes_byte_identically(self, case, tmp_path):
+        plan, interval = _RESUME_PLANS[case]()
+        reference = run_plan(plan)
+        checkpointed = dataclasses.replace(plan, checkpoint=_policy(tmp_path, interval))
+        run_plan(checkpointed)
+        resumed = run_plan(checkpointed)
+        if reference.telemetry.statehash is not None:
+            assert (
+                resumed.telemetry.statehash["chain"]
+                == reference.telemetry.statehash["chain"]
+            )
         assert _canonical(resumed) == _canonical(reference)
-
-    def test_flight_timeline_identical_across_resume(self, tmp_path):
-        config = _build(dict(network="tree", vcs=2))
-        flight = FlightConfig(interval_cycles=64)
-        reference = _canonical(simulate_with_flight(config, flight))
-        policy = _policy(tmp_path)
-        simulate_with_flight(config, flight, checkpoint=policy)
-        resumed = simulate_with_flight(config, flight, checkpoint=policy)
-        assert _canonical(resumed) == reference
-
-    def test_reliable_transport_resume(self, tmp_path):
-        config = small_tree_config(load=0.6)
-        transport = TransportConfig(base_timeout=16, jitter=8, seed=3)
-        reference = _canonical(simulate_reliable(config, transport))
-        policy = _policy(tmp_path, interval=200)
-        simulate_reliable(config, transport, checkpoint=policy)
-        resumed = simulate_reliable(config, transport, checkpoint=policy)
-        assert _canonical(resumed) == reference
-
-    def test_closed_congestion_loop_resume(self, tmp_path):
-        config = small_tree_config(load=0.8)
-        transport = TransportConfig(base_timeout=32, jitter=8, seed=3)
-        control = CongestionConfig(window_cycles=32, hot_fraction=0.3)
-        reference = _canonical(simulate_congested(config, transport, control))
-        policy = _policy(tmp_path, interval=200)
-        simulate_congested(config, transport, control, checkpoint=policy)
-        resumed = simulate_congested(config, transport, control, checkpoint=policy)
-        assert _canonical(resumed) == reference
-
-    def test_chaos_storm_resume(self, tmp_path):
-        config = _build(dict(network="tree", vcs=2), load=0.6)
-        storm = StormSpec(fault_rate=0.2, storm_seed=9)
-        reference = _canonical(run_chaos_point(config, storm))
-        policy = _policy(tmp_path, interval=200)
-        run_chaos_point(config, storm, checkpoint=policy)
-        resumed = run_chaos_point(config, storm, checkpoint=policy)
-        assert _canonical(resumed) == reference
-
-    def test_overload_point_resume(self, tmp_path):
-        config = small_tree_config(load=0.6)
-        spec = OverloadSpec(
-            closed_loop=True,
-            saturation=0.4,
-            arbiter="age",
-            transport=TransportConfig(base_timeout=32, jitter=4),
-            control=CongestionConfig(window_cycles=32),
-        )
-        reference = _canonical(run_overload_point(config, spec))
-        policy = _policy(tmp_path, interval=200)
-        run_overload_point(config, spec, checkpoint=policy)
-        resumed = run_overload_point(config, spec, checkpoint=policy)
-        assert _canonical(resumed) == reference
 
     def test_resume_point_without_checkpoints_returns_none(self, tmp_path):
         assert resume_point(_policy(tmp_path), small_tree_config()) is None
@@ -264,6 +282,25 @@ class TestResumeIdentity:
         )
         kinds = {d["kind"] for d in read_manifest(tmp_path)["discarded"]}
         assert kinds == {"stale"}
+
+    def test_older_format_checkpoint_discarded_as_stale(self, tmp_path):
+        # a version-2 snapshot carries no plan layers; resuming it would
+        # skip the finish step, so it must be rejected, not trusted
+        config = small_tree_config()
+        reference = _canonical(simulate(config))
+        simulate(config, checkpoint=_policy(tmp_path / "v3"))
+        newest = checkpoint_files(tmp_path / "v3")[0]
+        header, payload = newest.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        assert doc["format"] == CHECKPOINT_FORMAT_VERSION == 3
+        doc["format"] = 2
+        old = tmp_path / "v2" / newest.name
+        old.parent.mkdir()
+        old.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
+        policy = _policy(tmp_path / "v2")
+        assert _canonical(simulate(config, checkpoint=policy)) == reference
+        discarded = read_manifest(tmp_path / "v2")["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(old.name, "stale")]
 
 
 # -- probe housekeeping --------------------------------------------------------
@@ -352,7 +389,7 @@ class TestCampaignSupervision:
                 loads,
                 "ckpt-test",
                 use_cache=False,
-                simulate_fn=_interrupt_third_point,
+                layers=(_InterruptThirdPoint(),),
                 checkpoints=checkpoints,
             )
         # the two completed points were flushed to their per-point caches
@@ -401,7 +438,7 @@ class TestCampaignSupervision:
             config,
             retries=1,
             timeout=60,
-            simulate_fn=partial(_die_after_checkpointing, flag=str(flag)),
+            layers=(_DieAfterCheckpointing(str(flag)),),
             checkpoints=checkpoints,
             point_dir=pdir,
         )
@@ -417,7 +454,7 @@ class TestCampaignSupervision:
             config,
             retries=1,
             timeout=60,
-            simulate_fn=partial(_die_after_checkpointing, flag=str(flag)),
+            layers=(_DieAfterCheckpointing(str(flag)),),
         )
         assert outcome[0] == "ok"
         assert outcome[1].config.seed != config.seed
@@ -428,9 +465,7 @@ class TestCampaignSupervision:
             config,
             retries=0,
             timeout=60,
-            simulate_fn=partial(
-                _die_after_checkpointing, flag=str(tmp_path / "never-set")
-            ),
+            layers=(_DieAfterCheckpointing(str(tmp_path / "never-set")),),
         )
         # exhausted retries surface as a structured failure record
         assert outcome[0] == "fail"
@@ -448,7 +483,7 @@ class TestCampaignSupervision:
             config,
             retries=1,
             timeout=4.0,
-            simulate_fn=partial(_hang_after_checkpointing, flag=str(flag)),
+            layers=(_HangAfterCheckpointing(str(flag)),),
             checkpoints=checkpoints,
             point_dir=pdir,
         )
@@ -507,7 +542,7 @@ class TestSigtermParity:
         assert issubclass(_SigtermInterrupt, KeyboardInterrupt)
 
 
-# -- module-level hooks and simulate_fns (pickled by reference) ----------------
+# -- module-level hooks and layers (pickled by reference) ----------------------
 
 _BOOM = {"armed": False}
 
@@ -521,7 +556,7 @@ def _boom(engine) -> None:
 
 
 def _request_checkpoint(engine) -> None:
-    find_checkpoint_probe(engine.probe).request()
+    find_probe(engine.probe, CheckpointProbe).request()
 
 
 def _self_sigusr1(engine) -> None:
@@ -535,11 +570,11 @@ def _self_sigterm(engine) -> None:
 _CALLS = {"n": 0}
 
 
-def _interrupt_third_point(config, checkpoint=None):
-    _CALLS["n"] += 1
-    if _CALLS["n"] >= 3:
-        raise KeyboardInterrupt
-    return simulate(config, checkpoint=checkpoint)
+class _InterruptThirdPoint(Layer):
+    def install(self, engine):
+        _CALLS["n"] += 1
+        if _CALLS["n"] >= 3:
+            raise KeyboardInterrupt
 
 
 def _headers(directory):
@@ -551,22 +586,31 @@ def _headers(directory):
     )
 
 
-def _die_after_checkpointing(config, checkpoint=None, flag=None):
-    """First call: simulate (leaving snapshots behind), then die without
-    reporting.  Subsequent calls behave normally — the retry path."""
-    marker = pathlib.Path(flag)
-    if marker.exists():
-        return simulate(config, checkpoint=checkpoint)
-    marker.touch()
-    simulate(config, checkpoint=checkpoint)
-    os._exit(1)
+@dataclasses.dataclass(frozen=True)
+class _DieAfterCheckpointing(Layer):
+    """First run: finish the run (leaving snapshots behind), then die
+    without reporting.  Later runs, resumed ones included, finish
+    normally — the retry path."""
+
+    flag: str
+
+    def finish(self, engine, result):
+        marker = pathlib.Path(self.flag)
+        if not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return result
 
 
-def _hang_after_checkpointing(config, checkpoint=None, flag=None):
-    """First call: simulate, then hang past the wall-clock budget."""
-    marker = pathlib.Path(flag)
-    if marker.exists():
-        return simulate(config, checkpoint=checkpoint)
-    marker.touch()
-    simulate(config, checkpoint=checkpoint)
-    time.sleep(600)
+@dataclasses.dataclass(frozen=True)
+class _HangAfterCheckpointing(Layer):
+    """First run: finish the run, then hang past the wall-clock budget."""
+
+    flag: str
+
+    def finish(self, engine, result):
+        marker = pathlib.Path(self.flag)
+        if not marker.exists():
+            marker.touch()
+            time.sleep(600)
+        return result

@@ -44,35 +44,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "16 nodes" in out
 
-    def test_run_small(self, capsys):
-        code = main(
-            [
-                "run",
-                "--network", "cube",
-                "--k", "4",
-                "--n", "2",
-                "--algorithm", "dor",
-                "--load", "0.2",
-                "--profile", "fast",
-            ]
-        )
-        assert code == 0
-        assert "accepted=" in capsys.readouterr().out
+    def test_run_small(self, tmp_path, capsys):
+        # plain, then every tier stacked on one resumable run
+        for extra in ([], ["--forensics", "--flight", "--statehash",
+                           "--checkpoint", str(tmp_path / "ckpt")]):
+            code = main(
+                [
+                    "run",
+                    "--network", "cube",
+                    "--k", "4",
+                    "--n", "2",
+                    "--algorithm", "dor",
+                    "--load", "0.2",
+                    "--profile", "fast",
+                ]
+                + extra
+            )
+            assert code == 0
+            assert "accepted=" in capsys.readouterr().out
 
     def test_sweep_small(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--network", "tree",
-                "--k", "2",
-                "--n", "2",
-                "--vcs", "2",
-                "--profile", "fast",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "saturation:" in out
+        for extra in ([], ["--forensics", "--flight"]):
+            code = main(
+                [
+                    "sweep",
+                    "--network", "tree",
+                    "--k", "2",
+                    "--n", "2",
+                    "--vcs", "2",
+                    "--profile", "fast",
+                ]
+                + extra
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "saturation:" in out
 
     def test_drain(self, capsys):
         code = main(

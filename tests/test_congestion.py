@@ -30,13 +30,13 @@ from repro.obs.report import (
     write_scorecard,
 )
 from repro.profiles import FAST
-from repro.sim.run import build_engine, simulate, tree_config
+from repro.sim.run import RunPlan, build_engine, run_plan, simulate, tree_config
 from repro.traffic.congestion import (
+    Congestion,
     CongestionConfig,
     CongestionControl,
     CongestionMarker,
     install_congestion,
-    simulate_congested,
 )
 from repro.traffic.transport import (
     ReliableTransport,
@@ -180,11 +180,10 @@ class TestClosedLoopRuns:
         knobs = dict(window_cycles=32, initial_window=2.0)
         knobs.update(control_overrides)
         control = CongestionConfig(**knobs)
-        return simulate_congested(
-            small_tree_config(load=load, total_cycles=800),
-            TransportConfig(base_timeout=64, max_retries=3),
-            control,
+        layer = Congestion(
+            config=TransportConfig(base_timeout=64, max_retries=3), control=control
         )
+        return run_plan(RunPlan(small_tree_config(load=load, total_cycles=800), (layer,)))
 
     def test_accounting_invariants(self):
         result = self._run()

@@ -10,14 +10,15 @@ fields and demands byte equality on the serialized rest."""
 
 import json
 
-from repro.experiments.chaos import StormSpec, run_chaos_point
+from repro.experiments.chaos import StormSpec, chaos_layers
 from repro.experiments.congestion import OverloadSpec, run_overload_point
 from repro.metrics.io import run_result_to_dict
-from repro.obs.flight import FlightConfig, simulate_with_flight
-from repro.obs.forensics import simulate_with_forensics
-from repro.sim.run import simulate
-from repro.traffic.congestion import CongestionConfig, simulate_congested
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.obs.flight import Flight, FlightConfig
+from repro.obs.forensics import Forensics
+from repro.obs.statehash import StateDigestConfig, Statehash
+from repro.sim.run import RunPlan, run_plan, simulate
+from repro.traffic.congestion import Congestion, CongestionConfig
+from repro.traffic.transport import Transport, TransportConfig
 
 from .conftest import small_cube_config, small_tree_config
 from .test_property_forensics import _build
@@ -49,15 +50,17 @@ class TestRunDocumentDeterminism:
         # the forensics document rides on telemetry, so the instrumented
         # run must be deterministic including its histograms and samples
         _assert_identical(
-            lambda: simulate_with_forensics(small_cube_config(load=0.5))
+            lambda: run_plan(RunPlan(small_cube_config(load=0.5), (Forensics(),)))
         )
 
     def test_reliable_transport_run(self):
         # retry jitter comes from the transport's dedicated stream
         _assert_identical(
-            lambda: simulate_reliable(
-                small_tree_config(load=0.6),
-                TransportConfig(base_timeout=16, jitter=8, seed=3),
+            lambda: run_plan(
+                RunPlan(
+                    small_tree_config(load=0.6),
+                    (Transport(TransportConfig(base_timeout=16, jitter=8, seed=3)),),
+                )
             )
         )
 
@@ -65,10 +68,16 @@ class TestRunDocumentDeterminism:
         # marking windows, AIMD arithmetic and hold-queue pumping on top
         # of the transport's jitter stream — all seeded, so byte-stable
         _assert_identical(
-            lambda: simulate_congested(
-                small_tree_config(load=0.8),
-                TransportConfig(base_timeout=32, jitter=8, seed=3),
-                CongestionConfig(window_cycles=32, hot_fraction=0.3),
+            lambda: run_plan(
+                RunPlan(
+                    small_tree_config(load=0.8),
+                    (
+                        Congestion(
+                            config=TransportConfig(base_timeout=32, jitter=8, seed=3),
+                            control=CongestionConfig(window_cycles=32, hot_fraction=0.3),
+                        ),
+                    ),
+                )
             )
         )
 
@@ -90,8 +99,10 @@ class TestRunDocumentDeterminism:
         # the flight timeline rides on telemetry.flight; its columnar
         # series, hot-link rankings and annotations must be byte-stable
         _assert_identical(
-            lambda: simulate_with_flight(
-                small_tree_config(load=0.5), FlightConfig(interval_cycles=64)
+            lambda: run_plan(
+                RunPlan(
+                    small_tree_config(load=0.5), (Flight(FlightConfig(interval_cycles=64)),)
+                )
             )
         )
 
@@ -99,23 +110,24 @@ class TestRunDocumentDeterminism:
         # the digest chain rides on telemetry.statehash; every root,
         # chain link and subsystem digest must be byte-stable or the
         # divergence debugger would bisect noise
-        from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
-
         _assert_identical(
-            lambda: simulate_with_statehash(
-                small_cube_config(load=0.5), StateDigestConfig(interval_cycles=64)
+            lambda: run_plan(
+                RunPlan(
+                    small_cube_config(load=0.5),
+                    (Statehash(StateDigestConfig(interval_cycles=64)),),
+                )
             )
         )
 
     def test_statehash_instrumented_run_with_decimation(self):
         # pair-coalescing drops the same rows in the same order, and the
         # chain head still commits to every root ever sampled
-        from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
-
         _assert_identical(
-            lambda: simulate_with_statehash(
-                small_tree_config(load=0.5),
-                StateDigestConfig(interval_cycles=4, max_intervals=8),
+            lambda: run_plan(
+                RunPlan(
+                    small_tree_config(load=0.5),
+                    (Statehash(StateDigestConfig(interval_cycles=4, max_intervals=8)),),
+                )
             )
         )
 
@@ -123,9 +135,11 @@ class TestRunDocumentDeterminism:
         # pair-coalescing must be deterministic too: same rows merge in
         # the same order, hot-link ties break on the label
         _assert_identical(
-            lambda: simulate_with_flight(
-                small_tree_config(load=0.5),
-                FlightConfig(interval_cycles=4, max_intervals=8),
+            lambda: run_plan(
+                RunPlan(
+                    small_tree_config(load=0.5),
+                    (Flight(FlightConfig(interval_cycles=4, max_intervals=8)),),
+                )
             )
         )
 
@@ -147,8 +161,8 @@ class TestRunDocumentDeterminism:
         # fault draw + strike times + kills + retransmissions, end to end
         storm = StormSpec(fault_rate=0.2, storm_seed=9)
         _assert_identical(
-            lambda: run_chaos_point(
-                _build(dict(network="tree", vcs=2), load=0.6), storm
+            lambda: run_plan(
+                RunPlan(_build(dict(network="tree", vcs=2), load=0.6), chaos_layers(storm))
             )
         )
 

@@ -24,8 +24,9 @@ from repro.obs.diff import (
     snapshot_diff,
 )
 from repro.obs.report import render_diff_html, statehash_entries
-from repro.obs.statehash import StateDigestProbe, simulate_with_statehash
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.obs.statehash import Statehash
+from repro.sim.run import RunPlan, run_plan
+from repro.traffic.transport import Transport, TransportConfig
 
 from .conftest import small_cube_config, small_tree_config
 
@@ -33,7 +34,7 @@ from .conftest import small_cube_config, small_tree_config
 def _run_doc(config, **statehash_kwargs) -> dict:
     from repro.obs.statehash import StateDigestConfig
 
-    result = simulate_with_statehash(config, StateDigestConfig(**statehash_kwargs))
+    result = run_plan(RunPlan(config, (Statehash(StateDigestConfig(**statehash_kwargs)),)))
     return run_result_to_dict(result)
 
 
@@ -150,11 +151,8 @@ class TestUnreplayable:
         config = small_tree_config(load=0.6)
 
         def run(base_timeout):
-            result = simulate_reliable(
-                config,
-                TransportConfig(base_timeout=base_timeout, jitter=0, seed=3),
-                probe=StateDigestProbe(),
-            )
+            transport = TransportConfig(base_timeout=base_timeout, jitter=0, seed=3)
+            result = run_plan(RunPlan(config, (Statehash(), Transport(transport))))
             return run_result_to_dict(result)
 
         doc = diff_runs(run(16), run(64))
@@ -224,7 +222,7 @@ class TestReportPanels:
         from repro.obs.report import render_scorecard
 
         results = [
-            simulate_with_statehash(small_tree_config(seed=s)) for s in (7, 7)
+            run_plan(RunPlan(small_tree_config(seed=s), (Statehash(),))) for s in (7, 7)
         ]
         entries = statehash_entries(results)
         assert len(entries) == 2

@@ -22,17 +22,17 @@ from repro.experiments.congestion import (
     OverloadSpec,
     run_overload_point,
 )
-from repro.obs.flight import (
-    FlightConfig,
-    FlightRecorder,
-    describe_flight,
-    simulate_with_flight,
-)
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder, describe_flight
 from repro.obs.heatmap import flight_timeline_svg
-from repro.sim.run import simulate, tree_config
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.sim.run import RunPlan, run_plan, simulate, tree_config
+from repro.traffic.transport import Transport, TransportConfig
 
 from .conftest import small_tree_config
+
+
+def _flown(config, flight=None, **live):
+    """One run planned with a flight recorder layer."""
+    return run_plan(RunPlan(config, (Flight(flight, **live),)))
 
 # engine-layer columns every document carries
 ENGINE_KEYS = (
@@ -67,7 +67,7 @@ class TestFlightConfig:
 class TestDocumentShape:
     def test_engine_only_document(self):
         config = small_tree_config()
-        result = simulate_with_flight(config, FlightConfig(interval_cycles=64))
+        result = _flown(config, FlightConfig(interval_cycles=64))
         doc = result.telemetry.flight
         assert doc["format"] == 1
         assert doc["interval"] == 64
@@ -87,10 +87,14 @@ class TestDocumentShape:
         assert cycles[-1] == config.total_cycles - 1
 
     def test_transport_layer_discovered(self):
-        result = simulate_reliable(
-            small_tree_config(),
-            TransportConfig(base_timeout=200, max_retries=2),
-            probe=FlightRecorder(FlightConfig(interval_cycles=128)),
+        result = run_plan(
+            RunPlan(
+                small_tree_config(),
+                (
+                    Flight(FlightConfig(interval_cycles=128)),
+                    Transport(TransportConfig(base_timeout=200, max_retries=2)),
+                ),
+            )
         )
         doc = result.telemetry.flight
         assert doc["layers"] == {"transport": True, "control": False}
@@ -114,7 +118,7 @@ class TestDocumentShape:
         assert all(v > 0 for v in doc["series"]["cwnd_mean"])
 
     def test_describe_flight_digest(self):
-        result = simulate_with_flight(
+        result = _flown(
             small_tree_config(), FlightConfig(interval_cycles=128)
         )
         text = describe_flight(result.telemetry.flight)
@@ -128,7 +132,7 @@ class TestCardinalityBound:
         # 8-row buffer must absorb them via pair-coalescing decimation
         cfg = FlightConfig(interval_cycles=4, max_intervals=8)
         config = small_tree_config()
-        result = simulate_with_flight(config, cfg)
+        result = _flown(config, cfg)
         doc = result.telemetry.flight
         assert doc["rows"] <= cfg.max_intervals
         assert doc["decimations"] > 0
@@ -139,10 +143,10 @@ class TestCardinalityBound:
 
     def test_decimated_totals_match_undecimated(self):
         config = small_tree_config()
-        fine = simulate_with_flight(
+        fine = _flown(
             config, FlightConfig(interval_cycles=4, max_intervals=8)
         ).telemetry.flight
-        coarse = simulate_with_flight(
+        coarse = _flown(
             config, FlightConfig(interval_cycles=300)
         ).telemetry.flight
         for key in ("injected", "delivered", "dropped", "generated"):
@@ -164,7 +168,7 @@ class TestLiveHooks:
 
     def test_events_jsonl_stream(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        result = simulate_with_flight(
+        result = _flown(
             small_tree_config(),
             FlightConfig(interval_cycles=128),
             events=path,
@@ -185,7 +189,7 @@ class TestLiveHooks:
             def write(self, _):
                 raise OSError("disk gone")
 
-        result = simulate_with_flight(
+        result = _flown(
             small_tree_config(), FlightConfig(interval_cycles=128),
             events=Broken(),
         )
@@ -230,13 +234,14 @@ class TestAnnotations:
         ]
 
     def test_chaos_point_stamps_strikes_on_the_timeline(self):
-        from repro.experiments.chaos import StormSpec, run_chaos_point
+        from repro.experiments.chaos import StormSpec, chaos_layers
 
         storm = StormSpec(fault_rate=0.5, storm_seed=9)
-        result = run_chaos_point(
-            small_tree_config(load=0.5),
-            storm,
-            flight=FlightConfig(interval_cycles=64),
+        result = run_plan(
+            RunPlan(
+                small_tree_config(load=0.5),
+                chaos_layers(storm, FlightConfig(interval_cycles=64)),
+            )
         )
         doc = result.telemetry.flight
         struck = result.telemetry.reliability["storm"]["faults"]
@@ -247,7 +252,7 @@ class TestAnnotations:
 
 class TestTimelineSvg:
     def test_renders_engine_only_panels(self):
-        result = simulate_with_flight(
+        result = _flown(
             small_tree_config(), FlightConfig(interval_cycles=64)
         )
         svg = flight_timeline_svg(result.telemetry.flight, title="smoke")

@@ -12,12 +12,12 @@ from repro.errors import AnalysisError
 from repro.metrics.io import run_result_from_dict, run_result_to_dict
 from repro.obs.forensics import (
     COMPONENTS,
+    Forensics,
     ForensicsProbe,
     LatencyAttributionProbe,
     StreamingHistogram,
     describe_forensics,
     run_with_forensics,
-    simulate_with_forensics,
 )
 from repro.obs.heatmap import (
     hotspot_heatmap_svg,
@@ -27,7 +27,7 @@ from repro.obs.heatmap import (
 from repro.obs.ledger import Ledger
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.results import RunResult
-from repro.sim.run import build_engine
+from repro.sim.run import RunPlan, build_engine, run_plan
 
 from .conftest import small_cube_config, small_tree_config
 
@@ -156,7 +156,7 @@ class TestHotspotProbe:
 
 class TestForensicsDocument:
     def test_rides_telemetry_through_run_document(self):
-        result = simulate_with_forensics(small_tree_config(load=0.5))
+        result = run_plan(RunPlan(small_tree_config(load=0.5), (Forensics(),)))
         doc = result.telemetry.forensics
         assert doc["format"] == 1
         assert {"attribution", "waitfor", "hotspots"} <= set(doc)
@@ -166,7 +166,7 @@ class TestForensicsDocument:
     def test_ledger_round_trip(self, tmp_path):
         ledger = Ledger(tmp_path / "runs.jsonl")
         ledger.append_run(
-            simulate_with_forensics(small_cube_config(load=0.5)),
+            run_plan(RunPlan(small_cube_config(load=0.5), (Forensics(),))),
             kind="forensics",
         )
         (rec,) = ledger.records()
@@ -174,7 +174,7 @@ class TestForensicsDocument:
         assert rec["run"]["telemetry"]["forensics"]["attribution"]["packets"] > 0
 
     def test_describe_forensics_text(self):
-        result = simulate_with_forensics(small_cube_config(load=0.5))
+        result = run_plan(RunPlan(small_cube_config(load=0.5), (Forensics(),)))
         text = describe_forensics(result.telemetry.forensics)
         assert "latency attribution" in text
         assert "wait-for graph" in text
@@ -190,7 +190,7 @@ class TestForensicsDocument:
 
 class TestHeatmapSvg:
     def _forensics(self, config):
-        return simulate_with_forensics(config).telemetry.forensics
+        return run_plan(RunPlan(config, (Forensics(),))).telemetry.forensics
 
     def test_cube_grid(self):
         doc = self._forensics(small_cube_config(load=0.7))

@@ -24,18 +24,21 @@ from repro.obs.statehash import (
     StateDigestConfig,
     StateDigestProbe,
     describe_statehash,
+    Statehash,
     engine_fingerprint,
-    simulate_with_statehash,
     state_snapshot,
 )
-from repro.sim.run import build_engine, simulate
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.obs.probe import Attach
+from repro.sim.run import RunPlan, build_engine, run_plan, simulate
+from repro.traffic.transport import Transport, TransportConfig
 
 from .conftest import small_cube_config, small_tree_config
 
 
 def _chain_of(config, statehash=None, probe=None) -> dict:
-    return simulate_with_statehash(config, statehash, probe=probe).telemetry.statehash
+    extra = () if probe is None else (Attach(probe),)
+    plan = RunPlan(config, (Statehash(statehash),) + extra)
+    return run_plan(plan).telemetry.statehash
 
 
 class TestConfig:
@@ -163,10 +166,14 @@ class TestDeterminism:
 
     def test_reliable_transport_chain_deterministic(self):
         def run():
-            result = simulate_reliable(
-                small_tree_config(load=0.6),
-                TransportConfig(base_timeout=16, jitter=8, seed=3),
-                probe=StateDigestProbe(),
+            result = run_plan(
+                RunPlan(
+                    small_tree_config(load=0.6),
+                    (
+                        Statehash(),
+                        Transport(TransportConfig(base_timeout=16, jitter=8, seed=3)),
+                    ),
+                )
             )
             return result.telemetry.statehash
 

@@ -19,6 +19,7 @@ from repro.experiments import sweep
 from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import _RESEED_STRIDE, clear_cache, run_point, run_sweep
 from repro.metrics.io import series_from_dict, series_to_dict
+from repro.obs.probe import Layer
 from repro.routing.base import ROUTING_ALGORITHMS, RoutingAlgorithm, register
 from repro.sim.run import cube_config, simulate
 
@@ -74,25 +75,25 @@ def ring_config(load: float):
 
 # -- interrupt handling ------------------------------------------------------
 #
-# Module-level so the process pool can pickle them: a simulate_fn that
+# Module-level so the process pool can pickle them: a run layer that
 # raises KeyboardInterrupt on the high-load point, plain (the interrupt
 # arrives before the cheap points are consumed) or slow (the cheap
 # points finish first, exercising the finished-but-unconsumed flush).
 
 
-def _interrupt_above(config):
-    if config.load > 0.25:
-        raise KeyboardInterrupt
-    return simulate(config)
+class _InterruptAbove(Layer):
+    def install(self, engine):
+        if engine.config.load > 0.25:
+            raise KeyboardInterrupt
 
 
-def _interrupt_slowly(config):
-    if config.load > 0.25:
-        import time
+class _InterruptSlowly(Layer):
+    def install(self, engine):
+        if engine.config.load > 0.25:
+            import time
 
-        time.sleep(3.0)
-        raise KeyboardInterrupt
-    return simulate(config)
+            time.sleep(3.0)
+            raise KeyboardInterrupt
 
 
 class TestInterruptedParallelSweep:
@@ -104,7 +105,7 @@ class TestInterruptedParallelSweep:
             run_sweep(
                 small_factory, [0.1, 0.2, 0.9], label="interrupted",
                 parallel=True, max_workers=2,
-                simulate_fn=_interrupt_above, ledger=ledger,
+                layers=(_InterruptAbove(),), ledger=ledger,
             )
         # loads 0.1 and 0.2 were consumed before the interrupt landed
         offered = [rec["run"]["config"]["load"] for rec in ledger.records()]
@@ -118,7 +119,7 @@ class TestInterruptedParallelSweep:
             run_sweep(
                 small_factory, [0.9, 0.1, 0.2], label="interrupted",
                 parallel=True, max_workers=3,
-                simulate_fn=_interrupt_slowly, ledger=ledger,
+                layers=(_InterruptSlowly(),), ledger=ledger,
             )
         # the interrupting point came *first* in submission order, so
         # the cheap points were never consumed in the normal loop; the
@@ -132,7 +133,7 @@ class TestInterruptedParallelSweep:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(
                 small_factory, [0.1, 0.9], label="interrupted",
-                parallel=True, max_workers=2, simulate_fn=_interrupt_above,
+                parallel=True, max_workers=2, layers=(_InterruptAbove(),),
             )
         series = run_sweep(small_factory, [0.1, 0.2], label="clean")
         assert series.complete and len(series.points) == 2
@@ -186,13 +187,13 @@ class TestRetryWithReseed:
         good = simulate(small_cube_config(load=0.2, total_cycles=300))
         calls = []
 
-        def flaky(config):
-            calls.append(config.seed)
+        def flaky(plan):
+            calls.append(plan.config.seed)
             if len(calls) == 1:
                 raise SimulationError("transient wedge")
             return good
 
-        monkeypatch.setattr(sweep, "simulate", flaky)
+        monkeypatch.setattr(sweep, "run_plan", flaky)
         series = run_sweep(
             small_factory, [0.2], label="flaky",
             retries=2, record_failures=True, use_cache=False,
@@ -202,10 +203,10 @@ class TestRetryWithReseed:
         assert calls == [7, 7 + _RESEED_STRIDE]  # base seed, then reseeded
 
     def test_attempts_and_seeds_recorded_on_exhaustion(self, monkeypatch):
-        def always_down(config):
+        def always_down(plan):
             raise SimulationError("permanent wedge")
 
-        monkeypatch.setattr(sweep, "simulate", always_down)
+        monkeypatch.setattr(sweep, "run_plan", always_down)
         series = run_sweep(
             small_factory, [0.2], label="down",
             retries=2, record_failures=True, use_cache=False,
@@ -216,10 +217,10 @@ class TestRetryWithReseed:
         assert failure.error == "SimulationError"
 
     def test_configuration_errors_never_swallowed(self, monkeypatch):
-        def broken(config):
+        def broken(plan):
             raise ConfigurationError("campaign-level bug")
 
-        monkeypatch.setattr(sweep, "simulate", broken)
+        monkeypatch.setattr(sweep, "run_plan", broken)
         with pytest.raises(ConfigurationError):
             run_sweep(
                 small_factory, [0.2], label="bug",
@@ -321,10 +322,10 @@ class TestRunCache:
 
         clear_cache()  # a fresh process would start with an empty memo
 
-        def exploding(config):
+        def exploding(plan):
             raise AssertionError("should have been served from disk")
 
-        monkeypatch.setattr(sweep, "simulate", exploding)
+        monkeypatch.setattr(sweep, "run_plan", exploding)
         second = run_sweep(
             small_factory, [0.2, 0.3], label="campaign", cache=cache
         )

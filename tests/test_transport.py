@@ -8,12 +8,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import NullProbe
-from repro.sim.run import build_engine
+from repro.sim.run import RunPlan, build_engine, run_plan
 from repro.traffic.transport import (
     ReliableTransport,
+    Transport,
     TransportConfig,
     attach_reliability,
-    simulate_reliable,
 )
 
 from .conftest import small_cube_config, small_tree_config
@@ -169,7 +169,7 @@ class TestGiveUp:
 
 class TestReporting:
     def test_attach_reliability_folds_summary_into_telemetry(self):
-        result = simulate_reliable(small_tree_config(load=0.2))
+        result = run_plan(RunPlan(small_tree_config(load=0.2), (Transport(),)))
         doc = result.telemetry.reliability
         assert doc is not None
         assert doc["messages"] == doc["acked"] + doc["gave_up"] + doc["pending"]
@@ -183,7 +183,7 @@ class TestReporting:
         assert result.telemetry.reliability["storm"] == {"faults": 0}
 
     def test_goodput_properties_consistent(self):
-        result = simulate_reliable(small_tree_config(load=0.3))
+        result = run_plan(RunPlan(small_tree_config(load=0.3), (Transport(),)))
         per_cycle = result.goodput_flits / (
             result.measured_cycles * result.config.num_nodes
         )
